@@ -48,9 +48,6 @@ class CantorSpec:
             current = nxt
         return [Interval(lo, hi, False, False) for lo, hi in current]
 
-    def level_rset(self, level: int) -> RSet:
-        return RSet(tuple(self.pieces(level)))
-
     def piece_gap(self, level: int) -> Fraction:
         """Smallest distance between distinct pieces at this level."""
         return self.ambient.length / 3**level

@@ -8,21 +8,20 @@ e.g. "countable:triadic", "main-gdelta:rationals".
 from __future__ import annotations
 
 from .cantor import CantorSpec
+from .errors import InputError
 from .one_strategies import (
     AvoidFixedOne,
     CompactIntersection,
     DenseGDeltaIntersection,
-    GDeltaSpec,
     GridOne,
     OneBot,
     OneMain,
 )
-from .sequences import enumeration_names
+from .sequences import EnumeratedPoints, enumeration_names
 from .sets import Interval
 from .two_strategies import (
     CantorOneShotTwo,
     ChainPunctureTwo,
-    CountableTargetSpec,
     CountableTargetTwo,
     EmptyTwo,
     FirstMemberTwo,
@@ -33,7 +32,7 @@ from .two_strategies import (
 )
 
 
-class UnknownStrategy(ValueError):
+class UnknownStrategy(InputError):
     pass
 
 
@@ -60,12 +59,15 @@ def _strip(side: str, ident: str) -> str:
     return ident[len(prefix):] if ident.startswith(prefix) else ident
 
 
+def _target_enum_id(target, kind: str) -> str:
+    return "rationals" if target is None else target.enum_id_for(kind)
+
+
 def make_two(ident: str, ambient: Interval, target=None) -> TwoBot:
     """Build a fresh covering-player bot.
 
-    `target` (a TargetSpec, optional) supplies defaults for target-aware
-    bots: the countable bot follows the target's enumeration and the
-    one-shot bot the target's construction when they match.
+    `target` (a TargetSpec, optional) supplies a default for the
+    countable bot: it follows the target's enumeration when it matches.
     """
     name = _strip("two", ident)
     if name == "empty":
@@ -79,19 +81,11 @@ def make_two(ident: str, ambient: Interval, target=None) -> TwoBot:
     if name == "halving-omega-plus-1":
         return HalvingOmegaPlusOneTwo(ambient)
     if name == "cantor-oneshot":
-        spec = None
-        if target is not None and getattr(target, "kind", None) == "cantor":
-            spec = target.cantor_spec(ambient)
-        return CantorOneShotTwo(ambient, spec or CantorSpec(ambient.closure()))
+        return CantorOneShotTwo(ambient, CantorSpec(ambient.closure()))
     if name == "countable" or name.startswith("countable:"):
-        enum_id = name.partition(":")[2]
-        if not enum_id:
-            if target is not None and getattr(target, "kind", None) == "countable":
-                enum_id = target.param
-            else:
-                enum_id = "rationals"
+        enum_id = name.partition(":")[2] or _target_enum_id(target, "countable")
         return CountableTargetTwo(
-            ambient, CountableTargetSpec.named(enum_id, ambient)
+            ambient, EnumeratedPoints.named(enum_id, ambient)
         )
     if name == "chain-puncture":
         return ChainPunctureTwo(ambient)
@@ -112,15 +106,10 @@ def make_one(ident: str, ambient: Interval, target=None) -> OneBot:
     if name == "main-compact":
         return OneMain(CompactIntersection(ambient), ambient)
     if name == "main-gdelta" or name.startswith("main-gdelta:"):
-        enum_id = name.partition(":")[2]
-        if not enum_id:
-            if target is not None and getattr(target, "kind", None) == "gdelta":
-                enum_id = target.param
-            else:
-                enum_id = "rationals"
+        enum_id = name.partition(":")[2] or _target_enum_id(target, "gdelta")
         if enum_id not in enumeration_names():
             raise UnknownStrategy(f"unknown deletion sequence {enum_id!r}")
         return OneMain(
-            DenseGDeltaIntersection(GDeltaSpec(enum_id, ambient)), ambient
+            DenseGDeltaIntersection(EnumeratedPoints.named(enum_id, ambient)), ambient
         )
     raise UnknownStrategy(f"unknown ONE strategy {ident!r}; known: {ONE_IDS}")

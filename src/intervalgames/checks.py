@@ -2,7 +2,8 @@
 
 Each suite draws deterministic pseudo-random instances and verifies an
 exact property; a failure returns the offending instance so it can be
-replayed with the same seed.
+replayed with the same seed.  The test suite draws its random covers
+from the same generators.
 """
 
 from __future__ import annotations
@@ -44,21 +45,41 @@ def _random_rset(rng: random.Random) -> RSet:
     return normalize(ivs)
 
 
-def _random_cover(rng: random.Random) -> Cover:
-    a = F(rng.randint(0, 8), 16)
-    b = a + F(rng.randint(2, 8), 16)
-    target = Interval(a, b, False, False)
+def rnd_fraction(rng: random.Random, lo: F, hi: F, max_den: int = 32) -> F:
+    den = rng.choice([8, 12, 16, 24, max_den])
+    lo_n = -(-lo.numerator * den // lo.denominator)  # ceil
+    hi_n = hi.numerator * den // hi.denominator  # floor
+    if lo_n > hi_n:
+        return lo
+    return F(rng.randint(lo_n, hi_n), den)
+
+
+def random_target(rng: random.Random) -> Interval:
+    """Random closed subinterval of [0, 1] with positive length."""
+    while True:
+        a = rnd_fraction(rng, F(0), F(3, 4))
+        b = rnd_fraction(rng, a + F(1, 16), F(1))
+        if b > a:
+            return Interval(a, b, False, False)
+
+
+def random_cover(rng: random.Random, target: Interval, extra: bool = True) -> Cover:
+    """Random open cover of a closed interval built as an overlapping chain."""
+    a, b = target.lo, target.hi
     length = b - a
-    cuts = sorted({a + length * F(rng.randint(1, 15), 16) for _ in range(rng.randint(0, 3))})
-    pts = [a] + [c for c in cuts if a < c < b] + [b]
+    n_cuts = rng.randint(0, 3)
+    cuts = sorted(
+        {a + length * F(rng.randint(1, 15), 16) for _ in range(n_cuts)} - {a, b}
+    )
+    pts = [a] + cuts + [b]
     members = []
     for lo_pt, hi_pt in zip(pts, pts[1:]):
-        members.append(
-            RSet.interval(
-                lo_pt - length * F(rng.randint(1, 8), 64),
-                hi_pt + length * F(rng.randint(1, 8), 64),
-            )
-        )
+        ml = length * F(rng.randint(1, 8), 64)
+        mr = length * F(rng.randint(1, 8), 64)
+        members.append(RSet.interval(lo_pt - ml, hi_pt + mr))
+    if extra and rng.random() < 0.5:
+        mid = a + length * F(rng.randint(1, 7), 8)
+        members.append(RSet.interval(mid - length / 8, mid + length / 8))
     rng.shuffle(members)
     return Cover(RSet((target,)), tuple(members))
 
@@ -79,7 +100,7 @@ def suite_set_algebra(seed: int, cases: int) -> SuiteResult:
 def suite_lebesgue(seed: int, cases: int) -> SuiteResult:
     rng = random.Random(seed)
     for i in range(cases):
-        cover = _random_cover(rng)
+        cover = random_cover(rng, random_target(rng))
         d = lebesgue_number(cover)
         if d <= 0 or not verify_lebesgue(cover, d):
             return SuiteResult("lebesgue", i, False, f"cover={cover.members}")
@@ -89,7 +110,7 @@ def suite_lebesgue(seed: int, cases: int) -> SuiteResult:
 def suite_halving(seed: int, cases: int) -> SuiteResult:
     rng = random.Random(seed)
     for i in range(cases):
-        cover = _random_cover(rng)
+        cover = random_cover(rng, random_target(rng))
         t = cover.target.components[0]
         fam, residual = halving_refinement(cover)
         sup = window_supremum(cover)

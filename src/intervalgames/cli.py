@@ -24,7 +24,6 @@ from .analyzer import (
 from .cantor import CantorSpec
 from .covers import Cover
 from .engine import (
-    ConfigError,
     GameConfig,
     IllegalMove,
     TargetSpec,
@@ -34,10 +33,18 @@ from .engine import (
     replay_families_under_ruleset,
     validate_cover,
 )
-from .errors import InvariantViolation, ProtocolError
-from .ordinals import InningSchedule, parse_ordinal, reduced_length, OrdinalError
+from .errors import InputError, InvariantViolation, ProtocolError
+from .ordinals import InningSchedule, parse_ordinal, reduced_length
 from .sequences import enumeration
-from .sets import RSet, closed, is_discrete, parse_interval, parse_rset, union_all
+from .sets import (
+    RSet,
+    closed,
+    is_discrete,
+    parse_interval,
+    parse_rational,
+    parse_rset,
+    union_all,
+)
 from .two_strategies import cantor_fattening_level, cantor_one_shot
 
 EXIT_OK = 0
@@ -48,17 +55,20 @@ EXIT_USAGE = 64
 AMBIENT = closed(0, 1)
 
 
-class UsageError(Exception):
-    pass
-
-
 class Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def _out_dir() -> Path:
     return Path(os.environ.get("INTERVALGAMES_OUT", "."))
+
+
+def _int_arg(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"--{name} must be an integer, not {text!r}") from None
 
 
 def _check(label: str, ok: bool) -> bool:
@@ -76,7 +86,7 @@ def _read_config_file(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"bad config line: {raw!r}")
+            raise InputError(f"bad config line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         values[key.replace("-", "_")] = val
     return values
@@ -92,7 +102,7 @@ def _game_config(args) -> GameConfig:
         target=TargetSpec.parse(args.target),
         one=args.one,
         two=args.two,
-        schedule=InningSchedule(main_budget=int(args.innings)),
+        schedule=InningSchedule(main_budget=_int_arg("innings", args.innings)),
     )
 
 
@@ -297,7 +307,7 @@ DEMOS = {
 
 def cmd_demo(args) -> int:
     if args.name not in DEMOS:
-        raise UsageError(f"unknown demo {args.name!r}; known: {sorted(DEMOS)}")
+        raise InputError(f"unknown demo {args.name!r}; known: {sorted(DEMOS)}")
     print(f"demo {args.name}")
     ok = DEMOS[args.name]()
     print("result:", "all checks passed" if ok else "CHECK FAILED")
@@ -318,27 +328,33 @@ def cmd_analyze(args) -> int:
     ambient = parse_interval(args.ambient)
     factory = _two_factory(args.two, ambient)
     if args.what == "core":
-        tau = tuple(int(x) for x in args.tau.split(",")) if args.tau else ()
-        core = strategy_core(factory, tau, int(args.depth), ambient)
+        tau = tuple(_int_arg("tau", x) for x in args.tau.split(",")) if args.tau else ()
+        core = strategy_core(factory, tau, _int_arg("depth", args.depth), ambient)
         print(json.dumps(core.to_json(), sort_keys=True))
         return EXIT_OK
     if args.what == "escape":
         result = find_escape(
-            factory, F(args.witness), int(args.k), int(args.search), ambient
+            factory,
+            parse_rational(args.witness),
+            _int_arg("k", args.k),
+            _int_arg("search", args.search),
+            ambient,
         )
         payload = result.to_json()
         if isinstance(result, EscapeCertificate):
             payload["revalidates"] = verify_escape(factory, result, ambient)
         print(json.dumps(payload, sort_keys=True))
         return EXIT_OK
-    raise UsageError(f"unknown analysis {args.what!r}")
+    raise InputError(f"unknown analysis {args.what!r}")
 
 
 # --- check ---------------------------------------------------------------------
 
 
 def cmd_check(args) -> int:
-    results = checks.run_suites(int(args.seed), int(args.cases), args.suite)
+    results = checks.run_suites(
+        _int_arg("seed", args.seed), _int_arg("cases", args.cases), args.suite
+    )
     failed = False
     for r in results:
         _check(f"{r.name} ({r.cases} cases){': ' + r.detail if r.detail else ''}", r.ok)
@@ -368,7 +384,7 @@ def cmd_interactive(args, stdin=None) -> int:
     ambient = parse_interval(args.ambient)
     target = TargetSpec.parse(args.target)
     ruleset = {"d": "discrete", "c": "disjoint"}.get(args.ruleset, args.ruleset)
-    innings = int(args.innings)
+    innings = _int_arg("innings", args.innings)
     human_side = args.as_side
     bot = (
         catalog.make_one(args.one, ambient, target)
@@ -517,7 +533,7 @@ def cmd_bracket(args) -> int:
         one_ids=catalog.STANDARD_ONE_CATALOG,
         two_ids=catalog.STANDARD_TWO_CATALOG + ("halving-omega-plus-1",),
         lengths=lengths,
-        schedule=InningSchedule(main_budget=int(args.innings)),
+        schedule=InningSchedule(main_budget=_int_arg("innings", args.innings)),
     )
     print(json.dumps(report, sort_keys=True, indent=1))
     return EXIT_OK
@@ -541,11 +557,8 @@ def main(argv=None) -> int:
             return cmd_interactive(args)
         if args.command == "bracket":
             return cmd_bracket(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, catalog.UnknownStrategy, OrdinalError) as exc:
+        raise InputError(f"unknown command {args.command!r}")
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InvariantViolation, ProtocolError) as exc:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .sets import Interval, RSet, normalize, rat, union_all
+from .sets import Interval, RSet, normalize, rat, refines, union_all
 
 
 class CoverError(ValueError):
@@ -95,24 +95,9 @@ class Cover:
     def refinement_witnesses(
         self, family: Sequence[RSet]
     ) -> tuple[bool, list[Optional[int]]]:
-        """Like sets.refines, but using this cover's point index so the
-        candidate search does not scan all members."""
-        witnesses: list[Optional[int]] = []
-        ok = True
-        for m in family:
-            found = None
-            if m.is_empty:
-                found = 0 if self.members else None
-            else:
-                probe = m.components[0].representative()
-                for i in self.members_containing_point(probe):
-                    if m.is_subset(self.members[i]):
-                        found = i
-                        break
-            witnesses.append(found)
-            if found is None:
-                ok = False
-        return ok, witnesses
+        """`sets.refines` against this cover, using its point index so
+        the candidate search does not scan all members."""
+        return refines(family, self.members, self.members_containing_point)
 
 
 def _target_interval(cover: Cover) -> Interval:

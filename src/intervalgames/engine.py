@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from . import catalog
 from .cantor import CantorSpec
 from .covers import Cover
-from .errors import InvariantViolation, ProtocolError
+from .errors import InputError, InvariantViolation, ProtocolError
 from .one_strategies import HistoryDigest
 from .ordinals import (
     InningLabel,
@@ -36,7 +36,7 @@ from .ordinals import (
     Ordinal,
     inning_iterator,
 )
-from .sequences import enumeration
+from .sequences import EnumeratedPoints, enumeration
 from .sets import (
     FamilyNotDiscrete,
     FamilyNotDisjoint,
@@ -46,12 +46,11 @@ from .sets import (
     is_disjoint,
     union_all,
 )
-from .two_strategies import CountableTargetSpec
 
 RULESETS = ("discrete", "disjoint")
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -109,11 +108,65 @@ class TargetSpec:
             return cls.closed(parse_rset(s.partition(":")[2]))
         raise ConfigError(f"unknown target {text!r}")
 
-    def cantor_spec(self, ambient: Interval) -> CantorSpec:
-        return CantorSpec(ambient.closure())
+    def inclusion_part(self, ambient: Interval) -> RSet:
+        """The part of the target a cover must contain as a set.
 
-    def countable_spec(self, ambient: Interval) -> CountableTargetSpec:
-        return CountableTargetSpec.named(self.param, ambient)
+        The whole ambient for full targets, and for the rationals: a
+        finite union of rational-endpoint sets that misses part of the
+        ambient misses a rational.  Other point-set targets have none.
+        """
+        if self.kind == "closed":
+            return self.rset
+        if self.kind == "full" or (
+            self.kind == "countable" and self.param == "rationals"
+        ):
+            return RSet((ambient.closure(),))
+        return RSet.empty()
+
+    def enumerated_points(self, ambient: Interval, n: int) -> list[Fraction]:
+        """The first n points of the target's enumeration, on `ambient`."""
+        points = EnumeratedPoints.named(self.param, ambient)
+        return [points.point(k) for k in range(n)]
+
+    def uncovered(
+        self, union: RSet, ambient: Interval, materialized: Optional[int] = None
+    ) -> Optional[dict]:
+        """A witness that `union` misses part of the target, or None.
+
+        With `materialized` = n, a countable target is only its first n
+        enumerated points, and a G-delta target is the ambient minus
+        only its first n enumerated (deleted) points.
+        """
+        box = RSet((ambient.closure(),))
+        if self.kind == "cantor":
+            pt = CantorSpec(ambient.closure()).uncovered_point(union, box)
+            return None if pt is None else {"uncovered_point": str(pt)}
+        if self.kind in ("full", "closed"):
+            missing = self.inclusion_part(ambient).subtract(union)
+            return None if missing.is_empty else {"uncovered": str(missing)}
+        if materialized is not None:
+            points = self.enumerated_points(ambient, materialized)
+            if self.kind == "countable":
+                q = next((q for q in points if not union.contains(q)), None)
+                return None if q is None else {"uncovered_point": str(q)}
+            missing = box.subtract(union).subtract(RSet.points(points))
+            return None if missing.is_empty else {"uncovered": str(missing)}
+        points = EnumeratedPoints.named(self.param, ambient)
+        for comp in box.subtract(union).components:
+            if self.kind == "countable":
+                q = points.point_within(comp)
+                if q is not None:
+                    return {"uncovered_point": str(q)}
+            elif not comp.is_point:
+                return {"uncovered": str(comp), "note": "interval misses irrationals"}
+            elif points.point_within(comp) is None:  # in the target: not deleted
+                return {"uncovered_point": str(comp.lo)}
+        return None
+
+    def enum_id_for(self, kind: str) -> str:
+        """The enumeration a bot made for `kind` targets follows: this
+        target's own when it is of that kind, else the rationals."""
+        return self.param if self.kind == kind else "rationals"
 
     def describe(self) -> str:
         if self.kind == "closed":
@@ -220,69 +273,6 @@ class Transcript:
 # --- move validation ---------------------------------------------------------
 
 
-def _require_target_covered(
-    union: RSet, target: TargetSpec, ambient: Interval, side: str
-) -> None:
-    box = RSet((ambient.closure(),))
-    if target.kind == "full":
-        missing = box.subtract(union)
-        if not missing.is_empty:
-            raise IllegalMove(
-                side, "IncompleteCover", {"uncovered": str(missing)}
-            )
-    elif target.kind == "closed":
-        missing = target.rset.subtract(union)
-        if not missing.is_empty:
-            raise IllegalMove(side, "IncompleteCover", {"uncovered": str(missing)})
-    elif target.kind == "cantor":
-        spec = target.cantor_spec(ambient)
-        pt = spec.uncovered_point(union, box)
-        if pt is not None:
-            raise IllegalMove(side, "IncompleteCover", {"uncovered_point": str(pt)})
-    elif target.kind == "countable":
-        missing = box.subtract(union)
-        if target.param == "rationals":
-            # any nonempty leftover of a rational-endpoint union contains
-            # a rational of the segment, hence a target point
-            if not missing.is_empty:
-                raise IllegalMove(
-                    side,
-                    "IncompleteCover",
-                    {"uncovered_point": str(missing.representative())},
-                )
-        else:
-            for comp in missing.components:
-                if not comp.is_point:
-                    raise IllegalMove(
-                        side,
-                        "IncompleteCover",
-                        {"uncovered_point": str(comp.midpoint())},
-                    )
-                unit = (comp.lo - ambient.lo) / ambient.length
-                if _is_triadic(unit):
-                    raise IllegalMove(
-                        side, "IncompleteCover", {"uncovered_point": str(comp.lo)}
-                    )
-    elif target.kind == "gdelta":
-        missing = box.subtract(union)
-        for comp in missing.components:
-            if not comp.is_point:
-                raise IllegalMove(
-                    side,
-                    "IncompleteCover",
-                    {"uncovered": str(comp), "note": "interval misses irrationals"},
-                )
-    else:
-        raise ConfigError(f"unknown target kind {target.kind}")
-
-
-def _is_triadic(q: Fraction) -> bool:
-    den = q.denominator
-    while den % 3 == 0:
-        den //= 3
-    return den == 1
-
-
 def validate_cover(
     proposed: Cover | Sequence[RSet], target: TargetSpec, ambient: Interval
 ) -> Cover:
@@ -303,17 +293,10 @@ def validate_cover(
             raise IllegalMove(
                 "one", "NotOpen", {"member": i, "set": str(m)}
             )
-    _require_target_covered(union_all(members), target, ambient, "one")
-    # the Cover's own RSet target is the part of the requirement that is
-    # an exact set-inclusion; point-set targets were checked above
-    if target.kind == "closed":
-        box = target.rset
-    elif target.kind in ("full",) or (
-        target.kind == "countable" and target.param == "rationals"
-    ):
-        box = RSet((ambient.closure(),))
-    else:
-        box = RSet.empty()
+    witness = target.uncovered(union_all(members), ambient)
+    if witness is not None:
+        raise IllegalMove("one", "IncompleteCover", witness)
+    box = target.inclusion_part(ambient)
     if isinstance(proposed, Cover) and proposed.target == box:
         return proposed
     return Cover(box, members)
@@ -374,35 +357,6 @@ def referee_step(
 # --- adjudication ------------------------------------------------------------
 
 
-def _coverage_holds(
-    union: RSet, target: TargetSpec, ambient: Interval, materialized: int
-) -> bool:
-    box = RSet((ambient.closure(),))
-    if target.kind == "full":
-        return box.subtract(union).is_empty
-    if target.kind == "closed":
-        return target.rset.subtract(union).is_empty
-    if target.kind == "cantor":
-        return target.cantor_spec(ambient).uncovered_point(union, box) is None
-    if target.kind == "countable":
-        spec = target.countable_spec(ambient)
-        return all(union.contains(spec.point(k)) for k in range(materialized))
-    if target.kind == "gdelta":
-        spec = GDeltaPoints(target.param, ambient)
-        pts = RSet.points([spec.point(k) for k in range(materialized)])
-        return box.subtract(union).subtract(pts).is_empty
-    raise ConfigError(f"unknown target kind {target.kind}")
-
-
-class GDeltaPoints:
-    def __init__(self, enum_id: str, ambient: Interval):
-        self.enum = enumeration(enum_id)
-        self.ambient = ambient
-
-    def point(self, k: int) -> Fraction:
-        return self.ambient.lo + self.enum.point(k) * self.ambient.length
-
-
 def _verify_certified_chain(
     one, records: Sequence[InningRecord], config: GameConfig
 ) -> Optional[dict]:
@@ -446,8 +400,7 @@ def _verify_certified_chain(
         },
     }
     if config.target.kind == "gdelta":
-        pts = GDeltaPoints(config.target.param, config.ambient)
-        avoided = [pts.point(k) for k in range(len(ts))]
+        avoided = config.target.enumerated_points(config.ambient, len(ts))
         for q in avoided:
             if final_box.contains(q):
                 raise InvariantViolation("deleted point inside the final open set")
@@ -464,7 +417,7 @@ def _adjudicate(
     union = union_all([m for r in records for m in r.family.members])
     materialized = sum(1 for r in records if r.label.kind == "inning")
     box = RSet((config.ambient.closure(),))
-    if _coverage_holds(union, config.target, config.ambient, max(materialized, 0)):
+    if config.target.uncovered(union, config.ambient, materialized) is None:
         return Verdict(
             "two-wins-covered",
             {
@@ -631,7 +584,7 @@ def lift_to_closed_subspace(config: GameConfig, subspace: RSet) -> GameConfig:
             ruleset=config.ruleset,
             length=config.length,
             ambient=subspace.components[0],
-            target=TargetSpec.full() if config.target.kind == "full" else config.target,
+            target=config.target,
             one=config.one,
             two=config.two,
             schedule=config.schedule,

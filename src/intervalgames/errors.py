@@ -11,3 +11,7 @@ class InvariantViolation(RuntimeError):
 
 class ProtocolError(RuntimeError):
     """The limit-stage extension protocol was used outside its contract."""
+
+
+class InputError(ValueError):
+    """Malformed input from outside the program; the CLI maps it to exit 64."""

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .covers import Cover, ball_cover
 from .errors import InvariantViolation
-from .sequences import enumeration
+from .sequences import EnumeratedPoints
 from .sets import Interval, RSet, union_all
 from .two_strategies import largest_component, middle_half
 
@@ -78,38 +78,26 @@ class CompactIntersection:
         return middle_third(largest_component(t))
 
 
-@dataclass(frozen=True)
-class GDeltaSpec:
-    """A dense G-delta subspace given by one deleted point per inning."""
-
-    enum_id: str
-    ambient: Interval
-
-    def deleted_point(self, n: int) -> Fraction:
-        unit = enumeration(self.enum_id).point(n)
-        return self.ambient.lo + unit * self.ambient.length
-
-    def dense_open(self, n: int) -> RSet:
-        box = RSet((self.ambient.closure(),))
-        return box.subtract(RSet.points([self.deleted_point(n)]))
-
-
 class DenseGDeltaIntersection:
     """Like CompactIntersection, but each move additionally dodges the
     inning's deleted point, so the intersection of a play avoids every
     materialized deletion."""
 
-    def __init__(self, spec: GDeltaSpec):
-        self.spec = spec
+    def __init__(self, deleted: EnumeratedPoints):
+        self.deleted = deleted
         self._inning = 0
 
+    def _dense_open(self, n: int) -> RSet:
+        box = RSet((self.deleted.ambient.closure(),))
+        return box.subtract(RSet.points([self.deleted.point(n)]))
+
     def opening(self) -> Interval:
-        g0 = self.spec.dense_open(0)
+        g0 = self._dense_open(0)
         self._inning = 1
         return middle_half(largest_component(g0))
 
     def respond(self, t: RSet) -> Interval:
-        g = self.spec.dense_open(self._inning)
+        g = self._dense_open(self._inning)
         self._inning += 1
         trimmed = t.intersect(g)
         if trimmed.is_empty:

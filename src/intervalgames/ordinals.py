@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator
 
+from .errors import InputError
 
-class OrdinalError(ValueError):
+
+class OrdinalError(InputError):
     pass
 
 
@@ -118,21 +120,24 @@ def parse_ordinal(text: str) -> Ordinal:
         return ZERO
     terms = []
     for part in s.split("+"):
-        if part.startswith("w^"):
-            rest = part[2:]
-            if "*" in rest:
-                exp_s, coeff_s = rest.split("*", 1)
+        try:
+            if part.startswith("w^"):
+                rest = part[2:]
+                if "*" in rest:
+                    exp_s, coeff_s = rest.split("*", 1)
+                else:
+                    exp_s, coeff_s = rest, "1"
+                terms.append((int(exp_s), int(coeff_s)))
+            elif part.startswith("w*"):
+                terms.append((1, int(part[2:])))
+            elif part == "w":
+                terms.append((1, 1))
+            elif part.isdigit() or (part.startswith("-") and part[1:].isdigit()):
+                terms.append((0, int(part)))
             else:
-                exp_s, coeff_s = rest, "1"
-            terms.append((int(exp_s), int(coeff_s)))
-        elif part.startswith("w*"):
-            terms.append((1, int(part[2:])))
-        elif part == "w":
-            terms.append((1, 1))
-        elif part.isdigit() or (part.startswith("-") and part[1:].isdigit()):
-            terms.append((0, int(part)))
-        else:
-            raise OrdinalError(f"bad ordinal term: {part!r}")
+                raise ValueError
+        except ValueError:
+            raise OrdinalError(f"bad ordinal term: {part!r}") from None
     try:
         return Ordinal(tuple(terms))
     except OrdinalError as exc:
@@ -181,7 +186,7 @@ class InningSchedule:
 
     def __post_init__(self):
         if self.main_budget < 1:
-            raise ValueError("main_budget must be >= 1")
+            raise InputError("main_budget must be >= 1")
         self.extension_cap()  # validate the policy string
 
     def extension_cap(self) -> int | None:
@@ -190,9 +195,9 @@ class InningSchedule:
         if self.extension_policy.startswith("bounded:"):
             n = int(self.extension_policy.split(":", 1)[1])
             if n < 0:
-                raise ValueError("extension cap must be >= 0")
+                raise InputError("extension cap must be >= 0")
             return n
-        raise ValueError(f"unknown extension policy {self.extension_policy!r}")
+        raise InputError(f"unknown extension policy {self.extension_policy!r}")
 
 
 @dataclass(frozen=True)

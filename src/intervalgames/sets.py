@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+from .errors import InputError
+
 Rational = Fraction
 
 
@@ -237,16 +239,6 @@ class RSet:
             raise ValueError("empty set has no representative point")
         return self.components[0].representative()
 
-    def min_value(self) -> Fraction:
-        if self.is_empty:
-            raise ValueError("empty set")
-        return self.components[0].lo
-
-    def max_value(self) -> Fraction:
-        if self.is_empty:
-            raise ValueError("empty set")
-        return self.components[-1].hi
-
     def is_relatively_open(self, ambient: Interval) -> bool:
         """True if this set is open in the subspace topology of `ambient`."""
         for c in self.components:
@@ -427,13 +419,23 @@ def witness_radius(family: Sequence[RSet], x) -> Optional[Fraction]:
 
 
 def refines(
-    family: Sequence[RSet], cover_members: Sequence[RSet]
+    family: Sequence[RSet],
+    cover_members: Sequence[RSet],
+    containing: Optional[Callable[[Fraction], list[int]]] = None,
 ) -> tuple[bool, list[Optional[int]]]:
     """Is every family member contained in some cover member?
 
     Returns the overall verdict plus, per member, the index of the
-    first containing cover element (None when uncontained).
+    first containing cover element (None when uncontained).  A member
+    lies in a cover element only if that element contains its first
+    component's representative, so only the elements `containing`
+    lists for that point (in index order) are tried; by default every
+    element is tested.
     """
+    if containing is None:
+        def containing(x: Fraction) -> list[int]:
+            return [i for i, cm in enumerate(cover_members) if cm.contains(x)]
+
     witnesses: list[Optional[int]] = []
     ok = True
     for m in family:
@@ -441,11 +443,7 @@ def refines(
         if m.is_empty:
             found = 0 if cover_members else None
         else:
-            probe = m.components[0].representative()
-            hits = sorted(
-                i for i, cm in enumerate(cover_members) if cm.contains(probe)
-            )
-            for i in hits:
+            for i in containing(m.components[0].representative()):
                 if m.is_subset(cover_members[i]):
                     found = i
                     break
@@ -457,29 +455,27 @@ def refines(
 
 # --- canonical text syntax -------------------------------------------------
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise InputError(f"not a rational: {text!r}") from exc
 
 
 def parse_interval(text: str) -> Interval:
     """Parse `(lo,hi)`, `[lo,hi]`, `[lo,hi)` or `(lo,hi]`."""
     s = text.strip()
     if len(s) < 5 or s[0] not in "([" or s[-1] not in ")]":
-        raise ValueError(f"not an interval: {text!r}")
+        raise InputError(f"not an interval: {text!r}")
     body = s[1:-1]
     if body.count(",") != 1:
-        raise ValueError(f"not an interval: {text!r}")
+        raise InputError(f"not an interval: {text!r}")
     lo_s, hi_s = body.split(",")
-    return Interval(
-        parse_rational(lo_s), parse_rational(hi_s), s[0] == "(", s[-1] == ")"
-    )
+    lo, hi = parse_rational(lo_s), parse_rational(hi_s)
+    try:
+        return Interval(lo, hi, s[0] == "(", s[-1] == ")")
+    except ValueError as exc:
+        raise InputError(f"not an interval: {text!r}: {exc}") from exc
 
 
 def parse_rset(text: str) -> RSet:

@@ -18,9 +18,16 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cantor import CantorSpec
-from .covers import Cover, CoverError, lebesgue_number, window_supremum, chain_subcover
+from .covers import (
+    Cover,
+    CoverError,
+    _target_interval,
+    chain_subcover,
+    lebesgue_number,
+    window_supremum,
+)
 from .errors import InvariantViolation
-from .sequences import Enumeration, enumeration
+from .sequences import EnumeratedPoints
 from .sets import (
     DiscreteFamily,
     Interval,
@@ -28,13 +35,6 @@ from .sets import (
     is_discrete,
     rat,
 )
-
-
-def _target_interval(cover: Cover) -> Interval:
-    comps = cover.target.components
-    if len(comps) != 1 or comps[0].lo_open or comps[0].hi_open:
-        raise CoverError("target must be a single closed interval")
-    return comps[0]
 
 
 def smallest_even_grid(length: Fraction, sup: Fraction) -> int:
@@ -66,8 +66,6 @@ def halving_refinement(
     by a later fattening move.
     """
     t = _target_interval(cover)
-    if t.length <= 0:
-        raise CoverError("target must have positive length")
     if ambient is None:
         ambient = t
     sup = window_supremum(cover)
@@ -268,22 +266,6 @@ def cantor_one_shot(cover: Cover, spec: CantorSpec) -> DiscreteFamily:
     return is_discrete(members)
 
 
-@dataclass(frozen=True)
-class CountableTargetSpec:
-    """An enumerated countable target inside a closed ambient interval."""
-
-    enum: Enumeration
-    ambient: Interval
-
-    @classmethod
-    def named(cls, enum_id: str, ambient: Interval) -> "CountableTargetSpec":
-        return cls(enumeration(enum_id), ambient)
-
-    def point(self, k: int) -> Fraction:
-        unit = self.enum.point(k)
-        return self.ambient.lo + unit * self.ambient.length
-
-
 def shrink_around(
     q: Fraction, comp: Interval, ambient: Interval, spacing: Optional[Fraction] = None
 ) -> RSet:
@@ -307,7 +289,7 @@ def shrink_around(
 
 
 def countable_target_move(
-    spec: CountableTargetSpec, inning: int, cover: Cover
+    spec: EnumeratedPoints, inning: int, cover: Cover
 ) -> DiscreteFamily:
     """Singleton family around the inning-th enumerated point, inside a
     cover member containing it.  After n innings the first n points of
@@ -416,11 +398,10 @@ class FirstCategoryAvoider:
 
 def point_sequence_avoider(enum_id: str, ambient: Interval) -> FirstCategoryAvoider:
     """Avoider for the first-category set enumerated point by point."""
-    enum = enumeration(enum_id)
+    points = EnumeratedPoints.named(enum_id, ambient)
 
     def nth(n: int) -> RSet:
-        q = ambient.lo + enum.point(n) * ambient.length
-        return RSet.points([q])
+        return RSet.points([points.point(n)])
 
     return FirstCategoryAvoider(nth)
 
@@ -521,7 +502,7 @@ class CantorOneShotTwo(TwoBot):
 
 
 class CountableTargetTwo(TwoBot):
-    def __init__(self, ambient: Interval, spec: CountableTargetSpec):
+    def __init__(self, ambient: Interval, spec: EnumeratedPoints):
         super().__init__(ambient)
         self.spec = spec
         self._count = 0

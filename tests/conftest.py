@@ -1,51 +1,10 @@
-"""Shared deterministic generators for seeded test sweeps."""
+"""Seeded test fixtures; the random instances come from the `check` suites."""
 
 import random
-from fractions import Fraction as F
 
 import pytest
 
-from intervalgames.covers import Cover
-from intervalgames.sets import Interval, RSet
-
-
-def rnd_fraction(rng: random.Random, lo: F, hi: F, max_den: int = 32) -> F:
-    den = rng.choice([8, 12, 16, 24, max_den])
-    lo_n = -(-lo.numerator * den // lo.denominator)  # ceil
-    hi_n = hi.numerator * den // hi.denominator  # floor
-    if lo_n > hi_n:
-        return lo
-    return F(rng.randint(lo_n, hi_n), den)
-
-
-def random_target(rng: random.Random) -> Interval:
-    """Random closed subinterval of [0, 1] with positive length."""
-    while True:
-        a = rnd_fraction(rng, F(0), F(3, 4))
-        b = rnd_fraction(rng, a + F(1, 16), F(1))
-        if b > a:
-            return Interval(a, b, False, False)
-
-
-def random_cover(rng: random.Random, target: Interval, extra: bool = True) -> Cover:
-    """Random open cover of a closed interval built as an overlapping chain."""
-    a, b = target.lo, target.hi
-    length = b - a
-    n_cuts = rng.randint(0, 3)
-    cuts = sorted(
-        {a + length * F(rng.randint(1, 15), 16) for _ in range(n_cuts)} - {a, b}
-    )
-    pts = [a] + cuts + [b]
-    members = []
-    for lo_pt, hi_pt in zip(pts, pts[1:]):
-        ml = length * F(rng.randint(1, 8), 64)
-        mr = length * F(rng.randint(1, 8), 64)
-        members.append(RSet.interval(lo_pt - ml, hi_pt + mr))
-    if extra and rng.random() < 0.5:
-        mid = a + length * F(rng.randint(1, 7), 8)
-        members.append(RSet.interval(mid - length / 8, mid + length / 8))
-    rng.shuffle(members)
-    return Cover(RSet((target,)), tuple(members))
+from intervalgames.checks import random_cover, random_target  # noqa: F401
 
 
 @pytest.fixture

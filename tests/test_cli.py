@@ -85,6 +85,23 @@ def test_usage_errors_exit_64(capsys):
     assert run_cli("nonsense") == 64
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--target", "countable:foo"),
+        ("--ambient", "[1,0]"),
+        ("--ambient", "[0,1"),
+        ("--innings", "0"),
+        ("--innings", "abc"),
+        ("--length", "w*w"),
+    ],
+)
+def test_malformed_play_input_exits_64(flag, value, tmp_path, capsys):
+    assert run_cli("play", flag, value, "--json", str(tmp_path / "t.jsonl")) == 64
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 @pytest.mark.parametrize("name", ["alpha-minus", "cantor", "rationals"])
 def test_fast_demos_pass(name, capsys):
     assert run_cli("demo", name) == 0

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from intervalgames.cantor import CantorSpec
 from intervalgames.covers import Cover
 from intervalgames.engine import (
     ConfigError,
@@ -150,6 +151,86 @@ def test_validate_cover_for_cantor_target():
             [rs("(-1/8,1/4)"), rs("(13/50,9/8)")], TargetSpec.cantor(), AMBIENT
         )
     assert err.value.detail["uncovered_point"] == "1/4"
+
+
+def _power_of_three(n: int) -> bool:
+    while n % 3 == 0:
+        n //= 3
+    return n == 1
+
+
+# unit-interval covers, each missing some piece of [0, 1]
+GAPPY_COVERS = [
+    ("[0,1/4)", "(1/2,1]"),
+    ("[0,1/3)", "(1/3,1]"),
+    ("[0,1/2)", "(1/2,1]"),
+    ("(1/10,1]",),
+    ("[0,3/10)", "(7/10,1]"),
+    ("[0,1/5)", "(1/5,2/5)", "(2/5,1]"),
+    ("[0,1/2)", "(1/2,11/20)", "(3/5,1]"),
+    # a gap of width 10^-30: its target point is found in closed form
+    ("[0,1/2)", f"({F(1, 2) + F(1, 10**30)},1]"),
+]
+
+
+@pytest.mark.parametrize("ambient", [AMBIENT, closed(F(1, 3), 2)])
+@pytest.mark.parametrize(
+    "target",
+    [
+        TargetSpec.countable("rationals"),
+        TargetSpec.countable("triadic"),
+        TargetSpec.cantor(),
+        TargetSpec.gdelta("rationals"),
+        TargetSpec.gdelta("triadic"),
+    ],
+    ids=lambda t: t.describe(),
+)
+def test_incomplete_cover_witness_revalidates(target, ambient):
+    """Each uncovered witness lies in the ambient, outside the union,
+    and in the target."""
+    lo, length = ambient.lo, ambient.length
+
+    def unit(x):
+        return (x - lo) / length
+
+    def is_target_point(x):
+        u = unit(x)
+        if target.kind == "cantor":
+            return CantorSpec(ambient).contains(x)
+        triadic = _power_of_three(u.denominator)
+        in_enum = triadic if target.param == "triadic" else True
+        return in_enum if target.kind == "countable" else not in_enum
+
+    rejected = 0
+    for texts in GAPPY_COVERS:
+        members = [
+            RSet.interval(
+                lo + m.components[0].lo * length,
+                lo + m.components[0].hi * length,
+                m.components[0].lo_open,
+                m.components[0].hi_open,
+            )
+            for m in map(rs, texts)
+        ]
+        union = union_all(members)
+        try:
+            validate_cover(members, target, ambient)
+            continue
+        except IllegalMove as exc:
+            assert exc.kind == "IncompleteCover"
+            detail = exc.detail
+        rejected += 1
+        if "uncovered_point" in detail:
+            x = F(detail["uncovered_point"])
+            assert ambient.contains(x) and not union.contains(x)
+            assert is_target_point(x)
+        else:  # an interval of a G-delta target's complement holds irrationals
+            assert target.kind == "gdelta"
+            piece = rs(detail["uncovered"])
+            assert piece.measure() > 0
+            assert piece.is_subset(RSet((ambient,)))
+            assert piece.intersect(union).is_empty
+    assert rejected >= 2
 
 
 # --- full matches ------------------------------------------------------------

@@ -11,13 +11,13 @@ from intervalgames.one_strategies import (
     BMState,
     CompactIntersection,
     DenseGDeltaIntersection,
-    GDeltaSpec,
     GridOne,
     HistoryDigest,
     OneMain,
     avoid_cover,
     bm_play,
 )
+from intervalgames.sequences import EnumeratedPoints
 from intervalgames.sets import RSet, closed, open_iv, parse_rset, union_all
 from intervalgames.two_strategies import point_sequence_avoider
 
@@ -85,8 +85,8 @@ def test_respond_closure_nests():
 
 def test_gdelta_respond_examples():
     # diagonal enumeration: q_0=0, q_1=1, q_2=1/2, q_3=1/3
-    spec = GDeltaSpec("rationals", AMBIENT)
-    assert spec.deleted_point(3) == F(1, 3)
+    spec = EnumeratedPoints.named("rationals", AMBIENT)
+    assert spec.point(3) == F(1, 3)
     bm = DenseGDeltaIntersection(spec)
     bm._inning = 3
     assert str(bm.respond(rs("(0,1)"))) == "(5/9,7/9)"
@@ -95,7 +95,7 @@ def test_gdelta_respond_examples():
 
 
 def test_gdelta_opening_avoids_first_deletion():
-    bm = DenseGDeltaIntersection(GDeltaSpec("rationals", AMBIENT))
+    bm = DenseGDeltaIntersection(EnumeratedPoints.named("rationals", AMBIENT))
     o = bm.opening()
     assert not RSet((o,)).contains(F(0))
 

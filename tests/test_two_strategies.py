@@ -7,6 +7,7 @@ import pytest
 
 from intervalgames.cantor import CantorSpec
 from intervalgames.covers import Cover, ball_cover, lebesgue_number, window_supremum
+from intervalgames.sequences import EnumeratedPoints
 from intervalgames.sets import (
     FamilyNotDiscrete,
     RSet,
@@ -18,7 +19,6 @@ from intervalgames.sets import (
     union_all,
 )
 from intervalgames.two_strategies import (
-    CountableTargetSpec,
     FirstCategoryAvoider,
     GreedyTwo,
     HalvingState,
@@ -211,7 +211,7 @@ def test_shrink_rule_half_distance():
 
 
 def test_countable_move_covers_enumerated_point():
-    spec = CountableTargetSpec.named("rationals", closed(0, 1).closure())
+    spec = EnumeratedPoints.named("rationals", closed(0, 1).closure())
     for inning in range(8):
         cover = ball_cover(2)
         fam = countable_target_move(spec, inning, cover)
@@ -224,7 +224,7 @@ def test_countable_move_covers_enumerated_point():
 
 
 def test_countable_move_clips_to_ambient():
-    spec = CountableTargetSpec.named("rationals", closed(0, 1).closure())
+    spec = EnumeratedPoints.named("rationals", closed(0, 1).closure())
     fam = countable_target_move(spec, 1, TRIVIAL)  # point q_1 = 1
     member = fam.members[0]
     assert member.contains(F(1)) and member.is_subset(rs("[0,1]"))
@@ -232,7 +232,7 @@ def test_countable_move_clips_to_ambient():
 
 
 def test_triadic_enumeration_never_hits_one_half():
-    spec = CountableTargetSpec.named("triadic", closed(0, 1).closure())
+    spec = EnumeratedPoints.named("triadic", closed(0, 1).closure())
     pts = {spec.point(k) for k in range(60)}
     assert F(1, 2) not in pts
     assert len(pts) == 60  # injective
