@@ -11,10 +11,12 @@ builds the overlapping dyadic grid covers used by oblivious players.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from math import ceil, floor
+from typing import Optional
 
 from .sets import Interval, RSet, normalize, rat, refines, union_all
 
@@ -28,13 +30,14 @@ class Cover:
     """A finite cover of a closed target by nonempty sets.
 
     The constructor checks that members are nonempty and that their
-    union contains the target exactly.  Openness of members is a game
-    concern and is validated by the referee against the game's ambient
-    interval, not here.
+    union, kept as `union`, contains the target exactly.  Openness of
+    members is a game concern and is validated by the referee against
+    the game's ambient interval, not here.
     """
 
     target: RSet
     members: tuple[RSet, ...]
+    union: RSet = field(init=False, repr=False, compare=False)
     _index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -42,7 +45,8 @@ class Cover:
         for i, m in enumerate(self.members):
             if m.is_empty:
                 raise CoverError(f"cover member {i} is empty")
-        missing = self.target.subtract(union_all(self.members))
+        object.__setattr__(self, "union", union_all(self.members))
+        missing = self.target.subtract(self.union)
         if not missing.is_empty:
             raise CoverError(
                 f"members do not cover the target; uncovered part: {missing}"
@@ -59,6 +63,10 @@ class Cover:
         object.__setattr__(
             self, "_index", (comps, tuple(c.lo for c, _ in comps), tuple(max_hi_prefix))
         )
+
+    def member(self, i: int) -> RSet:
+        """Member i, without building the others of a `GridCover`."""
+        return self.members[i]
 
     def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
         """Indices of members whose closure meets [lo, hi], in index order."""
@@ -90,7 +98,7 @@ class Cover:
         """Sub-cover of a closed piece of the target, keeping only members
         that meet it.  Member sets are not clipped."""
         idxs = self.members_touching(piece.lo, piece.hi)
-        return Cover(RSet((piece.closure(),)), tuple(self.members[i] for i in idxs))
+        return Cover(RSet((piece.closure(),)), tuple(self.member(i) for i in idxs))
 
     def refinement_witnesses(
         self, family: Sequence[RSet]
@@ -118,7 +126,12 @@ def window_supremum(cover: Cover) -> Fraction:
     may not be.  Computed by one left-to-right sweep over component
     endpoints: the supremum is the tightest hand-off between members,
     capped by the target length and by the reach of members covering b.
+    A grid cover's supremum is its step h: a window starting at a grid
+    point jh fits only in member j, which ends at (j+1)h, and every
+    window shorter than h fits in member j or j+1.
     """
+    if isinstance(cover, GridCover):
+        return cover.step
     t = _target_interval(cover)
     a, b = t.lo, t.hi
     cap = b - a
@@ -240,33 +253,106 @@ def verify_lebesgue(cover: Cover, delta) -> bool:
     return lebesgue_counterexample(cover, delta) is None
 
 
-def ball_cover(n: int, ambient: Interval | None = None) -> Cover:
-    """Overlapping dyadic grid cover of a closed interval.
+class GridCover(Cover):
+    """The index-n overlapping dyadic grid cover of a closed interval.
 
-    With h = len(ambient) * 2^-(n+2), the members are the traces of
-    ((k-1)h, (k+1)h) on the ambient for k = 0..2^(n+2).  Every member
-    has diameter at most 2h = len * 2^-(n+1), strictly below len * 2^-n.
-    Covers are immutable, so results are shared via a cache.
+    With h = len(ambient) * 2^-(n+2) (`step`), member k, for k = 0..2^(n+2),
+    is the trace of ((k-1)h, (k+1)h) on the ambient: relatively open,
+    nonempty, and closed exactly where the ambient's ends cut it.  The
+    members cover the ambient, which is the target and the union.
+
+    Queries are answered in closed form from n and the ambient.  The
+    member tuple is built on first use of `members`, once per instance.
     """
-    return _ball_cover_cached(n, ambient)
+
+    def __init__(self, n: int, ambient: Interval):
+        if n < 1:
+            raise ValueError("grid index must be >= 1")
+        if ambient.lo_open or ambient.hi_open or ambient.length <= 0:
+            raise ValueError("grid ambient must be a closed interval of positive length")
+        last = 2 ** (n + 2)
+        box = RSet((ambient,))
+        for name, value in (
+            ("n", n),
+            ("ambient", ambient),
+            ("last", last),
+            ("step", ambient.length / last),
+            ("target", box),
+            ("union", box),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return f"GridCover({self.n}, {self.ambient})"
+
+    def _between(self, k: int, lo: Fraction, hi: Fraction) -> RSet:
+        return RSet((Interval(lo, hi, k > 0, k < self.last),))
+
+    @cached_property
+    def members(self) -> tuple[RSet, ...]:
+        # the grid points are computed once and shared by neighbouring members
+        last, lo, h = self.last, self.ambient.lo, self.step
+        pts = [lo + j * h for j in range(last + 1)]
+        return tuple(
+            self._between(k, pts[max(k - 1, 0)], pts[min(k + 1, last)])
+            for k in range(last + 1)
+        )
+
+    def member(self, k: int) -> RSet:
+        if not 0 <= k <= self.last:
+            raise IndexError(f"grid member {k} out of range")
+        lo, h = self.ambient.lo, self.step
+        return self._between(k, lo + max(k - 1, 0) * h, lo + min(k + 1, self.last) * h)
+
+    def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
+        # member k's closure spans grid units [max(k-1, 0), min(k+1, last)]
+        u = (lo - self.ambient.lo) / self.step
+        v = (hi - self.ambient.lo) / self.step
+        if v < 0 or u > self.last:
+            return []
+        return list(range(max(ceil(u) - 1, 0), min(floor(v) + 1, self.last) + 1))
+
+    def members_containing_point(self, x: Fraction) -> list[int]:
+        # grid point j lies in member j only; a point between grid points
+        # j and j+1 lies in members j and j+1
+        t = (x - self.ambient.lo) / self.step
+        if t < 0 or t > self.last:
+            return []
+        j = floor(t)
+        return [j] if t == j else [j, j + 1]
+
+    def refinement_witnesses(
+        self, family: Sequence[RSet]
+    ) -> tuple[bool, list[Optional[int]]]:
+        return refines(family, _MembersByIndex(self), self.members_containing_point)
 
 
-@lru_cache(maxsize=None)
-def _ball_cover_cached(n: int, ambient: Interval | None) -> Cover:
-    if n < 1:
-        raise ValueError("grid index must be >= 1")
+class _MembersByIndex(Sequence):
+    """A grid cover's members as a sequence, built one at a time."""
+
+    def __init__(self, cover: GridCover):
+        self.cover = cover
+
+    def __len__(self) -> int:
+        return self.cover.last + 1
+
+    def __getitem__(self, k: int) -> RSet:
+        return self.cover.member(k)
+
+
+# 32 grids hold every grid one play uses (one per inning, up to
+# `GridOne.GRID_CAP` = 13) and every grid of a catalog sweep of budget 8
+@lru_cache(maxsize=32)
+def ball_cover(n: int, ambient: Interval | None = None) -> GridCover:
+    """The index-n grid cover of a closed interval, [0, 1] by default.
+
+    Every member has diameter at most 2h = len * 2^-(n+1), strictly below
+    len * 2^-n.  Grid covers are immutable, so the most recently used
+    ones are shared between callers.
+    """
     if ambient is None:
         ambient = Interval(Fraction(0), Fraction(1), False, False)
-    # grid point j is lo + j*h; member k spans points k-1 .. k+1, and
-    # its trace is closed exactly where it is cut by the ambient's ends
-    last = 2 ** (n + 2)
-    h = ambient.length / last
-    pts = [ambient.lo + j * h for j in range(last + 1)]
-    members = tuple(
-        RSet((Interval(pts[max(k - 1, 0)], pts[min(k + 1, last)], k > 0, k < last),))
-        for k in range(last + 1)
-    )
-    return Cover(RSet((ambient,)), members)
+    return GridCover(n, ambient)
 
 
 def chain_subcover(cover: Cover) -> list[int]:

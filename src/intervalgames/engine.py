@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import catalog
 from .cantor import CantorSpec
-from .covers import Cover
+from .covers import Cover, GridCover
 from .errors import InputError, InvariantViolation, ProtocolError
 from .one_strategies import HistoryDigest
 from .ordinals import (
@@ -279,27 +279,36 @@ def validate_cover(
     """Referee a cover-picking move: raw members or a proposed `Cover`.
 
     Members must be nonempty and relatively open in the ambient, and
-    their union must contain the target.  The result is a `Cover` whose
-    own target is the exact set-inclusion part of the requirement; a
-    proposed `Cover` that already has that target is returned as is.
+    their union must contain the target.  A `GridCover` of this very
+    ambient meets the first two by construction, and a proposed `Cover`
+    brings its union, so neither is computed again.  The result is a
+    `Cover` whose own target is the exact set-inclusion part of the
+    requirement; a proposed `Cover` that already has that target is
+    returned as is.
     """
-    members = proposed.members if isinstance(proposed, Cover) else tuple(proposed)
-    if not members:
-        raise IllegalMove("one", "EmptyCover", {})
-    for i, m in enumerate(members):
-        if m.is_empty:
-            raise IllegalMove("one", "EmptyMember", {"member": i})
-        if not m.is_relatively_open(ambient):
-            raise IllegalMove(
-                "one", "NotOpen", {"member": i, "set": str(m)}
-            )
-    witness = target.uncovered(union_all(members), ambient)
+    if not isinstance(proposed, Cover):
+        proposed = tuple(proposed)
+    if not (isinstance(proposed, GridCover) and proposed.ambient == ambient):
+        members = proposed.members if isinstance(proposed, Cover) else proposed
+        if not members:
+            raise IllegalMove("one", "EmptyCover", {})
+        for i, m in enumerate(members):
+            if m.is_empty:
+                raise IllegalMove("one", "EmptyMember", {"member": i})
+            if not m.is_relatively_open(ambient):
+                raise IllegalMove(
+                    "one", "NotOpen", {"member": i, "set": str(m)}
+                )
+    union = proposed.union if isinstance(proposed, Cover) else union_all(proposed)
+    witness = target.uncovered(union, ambient)
     if witness is not None:
         raise IllegalMove("one", "IncompleteCover", witness)
     box = target.inclusion_part(ambient)
-    if isinstance(proposed, Cover) and proposed.target == box:
+    if not isinstance(proposed, Cover):
+        return Cover(box, proposed)
+    if proposed.target == box:
         return proposed
-    return Cover(box, members)
+    return Cover(box, proposed.members)
 
 
 def referee_step(
@@ -494,22 +503,8 @@ def play(config: GameConfig) -> Transcript:
 
     records: list[InningRecord] = []
     cap = config.schedule.extension_cap()
-    seen_covers: dict[int, tuple[Cover, Cover]] = {}
-
-    def checked_cover(proposed: Cover) -> Cover:
-        # strategies may replay the same Cover object many times (fixed
-        # and grid bots do); validate each distinct object once, keeping
-        # a reference to it so its id cannot be reused
-        key = id(proposed)
-        if key not in seen_covers:
-            seen_covers[key] = (
-                proposed,
-                validate_cover(proposed, config.target, config.ambient),
-            )
-        return seen_covers[key][1]
-
     def run_inning(label: InningLabel, proposed: Cover) -> CheckedFamily:
-        cover = checked_cover(proposed)
+        cover = validate_cover(proposed, config.target, config.ambient)
         inning_index = sum(1 for r in records if r.label.kind == "inning")
         family = two.respond(inning_index, cover)
         checked = referee_step(config.ruleset, cover, family, config.ambient)
@@ -527,7 +522,9 @@ def play(config: GameConfig) -> Transcript:
                 [m for r in records for m in r.family.members]
             ).measure(),
         )
-        limit_cover = checked_cover(one.limit_cover(digest))
+        limit_cover = validate_cover(
+            one.limit_cover(digest), config.target, config.ambient
+        )
         extensions = 0
         block = label.ordinal.coefficient(1) - 1
         while True:

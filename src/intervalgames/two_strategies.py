@@ -74,7 +74,10 @@ def halving_refinement(
     grid = [t.lo + i * step for i in range(m + 1)]
     for i in range(m):
         cell = RSet.interval(grid[i], grid[i + 1], False, False)
-        if not any(cell.is_subset(mem) for mem in cover.members):
+        if not any(
+            cell.is_subset(cover.member(j))
+            for j in cover.members_touching(grid[i], grid[i + 1])
+        ):
             raise InvariantViolation(
                 f"grid cell [{grid[i]},{grid[i + 1]}] fits no cover member"
             )
@@ -144,7 +147,7 @@ def _first_fit(cover: Cover, piece: Interval) -> tuple[int, Interval]:
     """First cover member containing the closed piece, and its component."""
     box = RSet((piece.closure(),))
     for i in cover.members_touching(piece.lo, piece.hi):
-        member = cover.members[i]
+        member = cover.member(i)
         if box.is_subset(member):
             for comp in member.components:
                 if comp.contains_interval(piece.closure()):
@@ -238,7 +241,7 @@ def _fits_some_member(cover: Cover, piece: Interval, gamma: Fraction, ambient: I
     )
     closure = fat.closure()
     return any(
-        closure.is_subset(cover.members[i])
+        closure.is_subset(cover.member(i))
         for i in cover.members_touching(piece.lo - gamma, piece.hi + gamma)
     )
 
@@ -298,7 +301,7 @@ def countable_target_move(
     hits = cover.members_containing_point(q)
     if not hits:
         raise CoverError(f"no cover member contains the target point {q}")
-    member = cover.members[hits[0]]
+    member = cover.member(hits[0])
     comp = next(c for c in member.components if c.contains(q))
     return is_discrete([shrink_around(q, comp, spec.ambient)])
 
@@ -350,7 +353,7 @@ def puncture_cleanup(
         if not hits:
             raise CoverError(f"no cover member contains puncture {p}")
         comp = next(
-            c for c in cover.members[hits[0]].components if c.contains(p)
+            c for c in cover.member(hits[0]).components if c.contains(p)
         )
         neighbors = [abs(p - q) for j, q in enumerate(pts) if j != i]
         spacing = min(neighbors) if neighbors else None
@@ -430,7 +433,7 @@ class EmptyTwo(TwoBot):
 
 class FirstMemberTwo(TwoBot):
     def respond(self, inning: int, cover: Cover) -> list[RSet]:
-        return [cover.members[0]]
+        return [cover.member(0)]
 
 
 class GreedyTwo(TwoBot):
@@ -522,7 +525,11 @@ class ChainPunctureTwo(TwoBot):
 
     def respond(self, inning: int, cover: Cover) -> list[RSet]:
         if self.punctures is None:
-            family, self.punctures = chain_puncture_refinement(cover)
+            # the validated cover's own target is empty for point-set
+            # targets, so the chain is built on the ambient
+            family, self.punctures = chain_puncture_refinement(
+                cover.restricted_to(self.ambient)
+            )
             return family
         if self.punctures:
             punctures, self.punctures = self.punctures, []

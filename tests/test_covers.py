@@ -14,6 +14,7 @@ import pytest
 from intervalgames.covers import (
     Cover,
     CoverError,
+    GridCover,
     ball_cover,
     chain_subcover,
     lebesgue_counterexample,
@@ -208,6 +209,58 @@ def test_ball_cover_members_are_definitional_traces(ambient):
         for k, m in enumerate(c.members):
             ball = RSet.interval(amb.lo + (k - 1) * h, amb.lo + (k + 1) * h)
             assert m == ball.intersect(box), (n, k)
+
+
+@pytest.mark.parametrize(
+    "ambient", [(0, 1), ("1/4", "3/4"), (-1, "2/3"), ("1/5", 2)]
+)
+def test_grid_cover_answers_match_a_generic_cover(ambient):
+    """Every closed-form answer of a grid cover equals the answer of a
+    generic `Cover` of the same materialized members."""
+    amb = closed(*ambient)
+    a, b = amb.lo, amb.hi
+    for n in range(1, 7):
+        grid = ball_cover(n, amb)
+        assert isinstance(grid, GridCover)
+        ref = Cover(RSet((amb,)), grid.members)
+        h = grid.step
+        count = len(ref.members)
+        assert [grid.member(k) for k in range(count)] == list(ref.members)
+        with pytest.raises(IndexError):
+            grid.member(count)
+
+        grid_points = [a + j * h for j in range(count)]
+        midpoints = [a + (j + F(1, 2)) * h for j in range(count - 1)]
+        outside = [a - 1, a - h, a - h / 3, b + h / 3, b + h, b + 1]
+        points = grid_points + midpoints + outside
+        for x in points:
+            assert grid.members_containing_point(x) == ref.members_containing_point(x), (n, x)
+
+        windows = [(x, x) for x in points] + [
+            (a - h / 2, a + h / 2),  # straddling an end
+            (b - h / 2, b + h / 2),
+            (a - 1, b + 1),
+            (a - 3 * h, a - h),  # wholly outside
+            (b + h / 4, b + 2 * h),
+            (a + h / 3, b - h / 3),
+        ] + list(zip(grid_points, midpoints[2:])) + list(zip(midpoints, grid_points[3:]))
+        for lo, hi in windows:
+            assert grid.members_touching(lo, hi) == ref.members_touching(lo, hi), (n, lo, hi)
+            if a <= lo <= hi <= b:
+                piece = Interval(lo, hi, False, False)
+                mine, theirs = grid.restricted_to(piece), ref.restricted_to(piece)
+                assert (mine.target, mine.members) == (theirs.target, theirs.members)
+
+        assert window_supremum(grid) == window_supremum(ref) == h
+        assert lebesgue_number(grid) == lebesgue_number(ref)
+
+        family = (
+            [RSet.interval(p, q) for p, q in zip(grid_points, grid_points[1:])]
+            + [RSet.interval(p, p + 2 * h) for p in midpoints]  # fit nowhere
+            + [RSet.interval(p, q, False, False) for p, q in zip(midpoints, midpoints[1:])]
+            + [RSet.interval(b, b + h), RSet.interval(a, a + h / 2, False, True)]
+        )
+        assert grid.refinement_witnesses(family) == ref.refinement_witnesses(family)
 
 
 # --- chain subcover ----------------------------------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from intervalgames.cantor import CantorSpec
-from intervalgames.covers import Cover
+from intervalgames import covers, engine, sets
+from intervalgames.covers import Cover, ball_cover, window_supremum
 from intervalgames.engine import (
     ConfigError,
     GameConfig,
@@ -153,6 +154,66 @@ def test_validate_cover_for_cantor_target():
     assert err.value.detail["uncovered_point"] == "1/4"
 
 
+@pytest.mark.parametrize(
+    "target",
+    [TargetSpec.full(), TargetSpec.cantor(), TargetSpec.countable("triadic")],
+    ids=lambda t: t.describe(),
+)
+@pytest.mark.parametrize(
+    "game_ambient,rejection",
+    [
+        (closed(0, 1), "NotOpen"),  # larger
+        (closed(F(1, 4), 1), "NotOpen"),  # larger, one end shared
+        (closed(F(1, 3), F(1, 2)), None),  # strict subinterval
+    ],
+    ids=["larger", "larger-one-end", "subinterval"],
+)
+def test_grid_cover_of_another_ambient_gets_the_generic_checks(
+    target, game_ambient, rejection
+):
+    """A grid cover proposed on an ambient it was not built for is judged
+    exactly as its members passed as a raw list."""
+    grid = ball_cover(3, closed(F(1, 4), F(3, 4)))
+    outcomes = []
+    for proposed in (grid, list(grid.members)):
+        try:
+            cover = validate_cover(proposed, target, game_ambient)
+            outcomes.append((None, cover.target, cover.members))
+        except IllegalMove as exc:
+            outcomes.append((exc.kind, exc.detail))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == rejection
+
+
+def test_grid_validation_work_does_not_grow_with_the_grid(monkeypatch):
+    """Components merged by `normalize`/`union_all` where `engine` and
+    `covers` call them, to validate a grid cover and find its window
+    supremum: the same for the index-4 and the index-13 grid."""
+    merged = []
+
+    def counted(fn, size):
+        def wrapper(items):
+            items = list(items)
+            merged.append(size(items))
+            return fn(items)
+
+        return wrapper
+
+    in_rsets = counted(sets.union_all, lambda rsets: sum(len(r.components) for r in rsets))
+    monkeypatch.setattr(engine, "union_all", in_rsets)
+    monkeypatch.setattr(covers, "union_all", in_rsets)
+    monkeypatch.setattr(covers, "normalize", counted(sets.normalize, len))
+
+    def work(n: int) -> int:
+        merged.clear()
+        amb = closed(F(1, 5), 2)
+        validate_cover(ball_cover(n, amb), TargetSpec.full(), amb)
+        window_supremum(ball_cover(n, amb))
+        return sum(merged)
+
+    assert work(4) == work(13)
+
+
 def _power_of_three(n: int) -> bool:
     while n % 3 == 0:
         n //= 3
@@ -272,6 +333,19 @@ def test_discrete_rules_forfeit_chain_puncture():
     assert t.verdict.outcome == "one-wins-forfeit"
     assert t.verdict.certificate["rejection"] == "NotDiscrete"
     assert t.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "target", ["cantor", "countable:triadic", "gdelta:rationals", "gdelta:triadic"]
+)
+def test_chain_puncture_plays_point_set_targets(target):
+    """The validated cover's own target is empty for these targets; the
+    chain is built on the ambient instead."""
+    won = play(config("disjoint", "2", "grid", "chain-puncture", TargetSpec.parse(target)))
+    assert won.verdict.outcome == "two-wins-covered"
+    lost = play(config("discrete", "2", "grid", "chain-puncture", TargetSpec.parse(target)))
+    assert lost.verdict.outcome == "one-wins-forfeit"
+    assert lost.verdict.certificate["rejection"] == "NotDiscrete"
 
 
 def test_finite_game_uncovered_is_one_win():
