@@ -1,7 +1,8 @@
 """Command-line interface: matches, demos, analyses, checks, and a REPL.
 
 Exit codes: 0 on success, 2 when a strategy made an illegal move, 3 when
-an internal invariant was falsified, 64 for usage errors.
+an internal invariant was falsified or a strategy could not answer a
+legal cover, 64 for usage errors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .analyzer import (
     verify_escape,
 )
 from .cantor import CantorSpec
-from .covers import Cover
+from .covers import Cover, CoverError
 from .engine import (
     GameConfig,
     IllegalMove,
@@ -514,15 +515,20 @@ def build_parser() -> Parser:
     braket_p.add_argument("--lengths", default="1,w,w+1")
     braket_p.add_argument("--innings", default="6")
     braket_p.add_argument("--target", default="full")
+    p.commands = sub.choices  # subcommand name -> its parser
     return p
 
 
-def _apply_config_file(args) -> None:
-    if getattr(args, "config", None):
-        defaults = _read_config_file(args.config)
-        for key, val in defaults.items():
-            if hasattr(args, key) and f"--{key.replace('_', '-')}" not in sys.argv:
-                setattr(args, key, val)
+def _apply_config_file(parser: Parser, args, argv: list[str]):
+    """Parse `argv` again with the --config file's values as the
+    subcommand's defaults, so explicit flags win."""
+    if not getattr(args, "config", None):
+        return args
+    values = _read_config_file(args.config)
+    parser.commands[args.command].set_defaults(
+        **{key: val for key, val in values.items() if hasattr(args, key)}
+    )
+    return parser.parse_args(argv)
 
 
 def cmd_bracket(args) -> int:
@@ -543,8 +549,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args)
+        args = _apply_config_file(parser, parser.parse_args(argv), argv)
         if args.command == "play":
             return cmd_play(args)
         if args.command == "demo":
@@ -563,6 +568,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (InvariantViolation, ProtocolError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except CoverError as exc:  # a strategy cannot answer a legal cover
+        print(f"cover error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

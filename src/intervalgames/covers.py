@@ -358,57 +358,47 @@ def ball_cover(n: int, ambient: Interval | None = None) -> GridCover:
 def chain_subcover(cover: Cover) -> list[int]:
     """A minimal left-to-right chain of member indices covering the target.
 
-    Requires each member restricted to the target [a, b] to be a single
-    interval, relatively open in [a, b].  Greedy max-reach selection
-    followed by a redundancy-pruning pass; in the result consecutive
-    members overlap and non-consecutive members are disjoint.
+    Members whose trace on the target [a, b] is empty are skipped; every
+    other trace must be a single interval, relatively open in [a, b].
+    One sweep over the traces sorted by left end takes, at each point
+    not yet covered, the furthest-reaching trace containing it (the
+    first member wins ties).  Relative openness makes the greedy chain
+    minimal: link j+1 cannot contain the point link j was chosen for,
+    so consecutive links overlap, non-consecutive links are disjoint,
+    and each link alone holds the point it was chosen for.
     """
     t = _target_interval(cover)
     a, b = t.lo, t.hi
     box = RSet((t,))
-    clipped: list[Interval] = []
+    # each trace as (start, reach): start (lo, lo_open) sorts closed left
+    # ends first; reach (hi, closed hi, -index) is larger the further it goes
+    traces = []
     for i, m in enumerate(cover.members):
-        trace = m.intersect(box)
-        if len(trace.components) != 1:
+        comps = m.intersect(box).components
+        if not comps:
+            continue
+        if len(comps) > 1:
             raise CoverError(
                 f"member {i} restricted to the target is not a single interval"
             )
-        clipped.append(trace.components[0])
+        c = comps[0]
+        if not ((c.lo_open or c.lo == a) and (c.hi_open or c.hi == b)):
+            raise CoverError(
+                f"member {i} restricted to the target is not relatively open"
+            )
+        traces.append(((c.lo, c.lo_open), (c.hi, not c.hi_open, -i)))
+    traces.sort()
 
     chain: list[int] = []
-    pos = a  # first point not yet known to be covered
+    pos, reach, k = a, None, 0  # pos: first point the chain does not cover
     while True:
-        best = None
-        for i, c in enumerate(clipped):
-            if i in chain or not c.contains(pos):
-                continue
-            key = (c.hi, not c.hi_open)
-            if best is None or key > best[0]:
-                best = (key, i)
-        if best is None:
+        # fold in every trace that starts at or before pos
+        while k < len(traces) and traces[k][0] <= (pos, False):
+            reach = traces[k][1] if reach is None else max(reach, traces[k][1])
+            k += 1
+        if reach is None or reach[:2] <= (pos, False):
             raise CoverError(f"cover fails to cover the target at {pos}")
-        i = best[1]
-        chain.append(i)
-        c = clipped[i]
-        if c.hi > b or (c.hi == b and not c.hi_open):
-            break
-        pos = c.hi
-
-    def covers_with(idxs: list[int]) -> bool:
-        return box.is_subset(union_all([RSet((clipped[i],)) for i in idxs]))
-
-    pruned = list(chain)
-    for i in list(pruned):
-        trial = [j for j in pruned if j != i]
-        if trial and covers_with(trial):
-            pruned = trial
-
-    for k in range(len(pruned) - 1):
-        c1, c2 = clipped[pruned[k]], clipped[pruned[k + 1]]
-        if RSet((c1,)).intersect(RSet((c2,))).is_empty:
-            raise CoverError("chain members do not overlap consecutively")
-    for k in range(len(pruned) - 2):
-        c1, c3 = clipped[pruned[k]], clipped[pruned[k + 2]]
-        if not RSet((c1,)).intersect(RSet((c3,))).is_empty:
-            raise CoverError("non-consecutive chain members intersect")
-    return pruned
+        pos, closed, i = reach
+        chain.append(-i)
+        if closed:  # a relatively open trace is closed on the right only at b
+            return chain

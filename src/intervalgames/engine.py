@@ -21,7 +21,7 @@ verifies; mere non-coverage at a truncation stays "truncated".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -367,21 +367,21 @@ def referee_step(
 
 
 def _verify_certified_chain(
-    one, records: Sequence[InningRecord], config: GameConfig
+    one, records: Sequence[InningRecord], covered: RSet, config: GameConfig
 ) -> Optional[dict]:
     """Recheck the nested-closure chain of a certifying strategy.
 
     Verifies T_n = O_n minus the family closures, nonemptiness,
     closure(O_{n+1}) inside T_n, and that the final open set misses
-    every family played.  Returns the certificate dict, or None.
+    `covered`, the union of every family played.  Returns the
+    certificate dict, or None.
     """
     if not getattr(one, "certifying", False):
         return None
     opens, ts = one.trace()
-    inning_records = [r for r in records if r.label.kind == "inning"]
-    if len(ts) != len(inning_records) or len(opens) != len(ts) + 1:
+    if len(ts) != len(records) or len(opens) != len(ts) + 1:
         return None
-    for n, rec in enumerate(inning_records):
+    for n, rec in enumerate(records):
         o_box = RSet((opens[n],))
         closures = (
             union_all([m.closure() for m in rec.family.members])
@@ -394,9 +394,6 @@ def _verify_certified_chain(
         if not RSet((opens[n + 1].closure(),)).is_subset(ts[n]):
             raise InvariantViolation("closure nesting fails in the chain")
     final_box = RSet((opens[-1],))
-    covered = union_all(
-        [m for r in inning_records for m in r.family.members]
-    )
     if not final_box.intersect(covered).is_empty:
         raise InvariantViolation("final open set meets the covered region")
     cert = {
@@ -424,7 +421,7 @@ def _adjudicate(
     complete: bool,
 ) -> Verdict:
     union = union_all([m for r in records for m in r.family.members])
-    materialized = sum(1 for r in records if r.label.kind == "inning")
+    materialized = len(records)
     box = RSet((config.ambient.closure(),))
     if config.target.uncovered(union, config.ambient, materialized) is None:
         return Verdict(
@@ -436,7 +433,7 @@ def _adjudicate(
                 "materialized_innings": materialized,
             },
         )
-    cert = _verify_certified_chain(one, records, config)
+    cert = _verify_certified_chain(one, records, union, config)
     if cert is not None:
         return Verdict("one-wins-certified", cert)
     uncovered = box.subtract(union)
@@ -502,11 +499,9 @@ def play(config: GameConfig) -> Transcript:
         )
 
     records: list[InningRecord] = []
-    cap = config.schedule.extension_cap()
     def run_inning(label: InningLabel, proposed: Cover) -> CheckedFamily:
         cover = validate_cover(proposed, config.target, config.ambient)
-        inning_index = sum(1 for r in records if r.label.kind == "inning")
-        family = two.respond(inning_index, cover)
+        family = two.respond(len(records), cover)
         checked = referee_step(config.ruleset, cover, family, config.ambient)
         records.append(InningRecord(label, cover.members, checked))
         one.observe(checked.members)
@@ -517,7 +512,7 @@ def play(config: GameConfig) -> Transcript:
         finite history digest, and the covering player may materialize
         extension innings before committing to its limit move."""
         digest = HistoryDigest(
-            inning_count=sum(1 for r in records if r.label.kind == "inning"),
+            inning_count=len(records),
             covered_measure=union_all(
                 [m for r in records for m in r.family.members]
             ).measure(),
@@ -531,7 +526,7 @@ def play(config: GameConfig) -> Transcript:
             move = two.at_limit(limit_cover)
             if move == "extend":
                 extensions += 1
-                if cap is not None and extensions > cap:
+                if extensions > config.schedule.extension_cap:
                     raise ProtocolError(
                         "extension budget exhausted before the limit move"
                     )
@@ -577,24 +572,8 @@ def lift_to_closed_subspace(config: GameConfig, subspace: RSet) -> GameConfig:
     if subspace.closure() != subspace:
         raise ConfigError("subspace must be closed")
     if len(subspace.components) == 1 and subspace.components[0].length > 0:
-        return GameConfig(
-            ruleset=config.ruleset,
-            length=config.length,
-            ambient=subspace.components[0],
-            target=config.target,
-            one=config.one,
-            two=config.two,
-            schedule=config.schedule,
-        )
-    return GameConfig(
-        ruleset=config.ruleset,
-        length=config.length,
-        ambient=config.ambient,
-        target=TargetSpec.closed(subspace),
-        one=config.one,
-        two=config.two,
-        schedule=config.schedule,
-    )
+        return replace(config, ambient=subspace.components[0])
+    return replace(config, target=TargetSpec.closed(subspace))
 
 
 def replay_families_under_ruleset(transcript: Transcript, ruleset: str) -> list[str]:

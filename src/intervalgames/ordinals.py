@@ -144,10 +144,6 @@ def parse_ordinal(text: str) -> Ordinal:
         raise OrdinalError(f"non-canonical ordinal {text!r}: {exc}") from exc
 
 
-def compare(a: Ordinal, b: Ordinal) -> int:
-    return -1 if a < b else (1 if b < a else 0)
-
-
 def reduced_length(alpha: Ordinal) -> Ordinal:
     """The shortest game length with the same guaranteed covering-player
     outcome on metrizable boards, for an infinite ordinal alpha.
@@ -176,28 +172,18 @@ class InningSchedule:
     """How transfinite play is truncated to a finite simulation.
 
     ``main_budget`` innings are materialized before each limit stage;
-    ``extension_policy`` bounds how many extra pre-limit innings the
-    covering player may request once a limit cover is revealed
-    ("bounded:N" or "unbounded").
+    at most ``extension_cap`` extra pre-limit innings may be requested
+    by the covering player once a limit cover is revealed.
     """
 
     main_budget: int = 8
-    extension_policy: str = "bounded:256"
+    extension_cap: int = 256
 
     def __post_init__(self):
         if self.main_budget < 1:
             raise InputError("main_budget must be >= 1")
-        self.extension_cap()  # validate the policy string
-
-    def extension_cap(self) -> int | None:
-        if self.extension_policy == "unbounded":
-            return None
-        if self.extension_policy.startswith("bounded:"):
-            n = int(self.extension_policy.split(":", 1)[1])
-            if n < 0:
-                raise InputError("extension cap must be >= 0")
-            return n
-        raise InputError(f"unknown extension policy {self.extension_policy!r}")
+        if self.extension_cap < 0:
+            raise InputError("extension_cap must be >= 0")
 
 
 @dataclass(frozen=True)

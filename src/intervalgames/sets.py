@@ -180,10 +180,6 @@ class RSet:
         object.__setattr__(self, "_los", tuple(c.lo for c in self.components))
 
     @classmethod
-    def of(cls, intervals: Iterable[Interval]) -> "RSet":
-        return normalize(intervals)
-
-    @classmethod
     def interval(cls, lo, hi, lo_open=True, hi_open=True) -> "RSet":
         return cls((Interval(rat(lo), rat(hi), lo_open, hi_open),))
 

@@ -319,13 +319,9 @@ def chain_puncture_refinement(cover: Cover) -> tuple[list[RSet], list[Fraction]]
     a, b = t.lo, t.hi
     box = RSet((t,))
     chain = chain_subcover(cover)
-    clipped = [cover.members[i].intersect(box).components[0] for i in chain]
-    punctures: list[Fraction] = []
-    for cur, nxt in zip(clipped, clipped[1:]):
-        overlap = RSet((cur,)).intersect(RSet((nxt,)))
-        if overlap.is_empty:
-            raise CoverError("chain members do not overlap")
-        punctures.append(overlap.components[0].midpoint())
+    clipped = [cover.member(i).intersect(box).components[0] for i in chain]
+    # consecutive links overlap in exactly the open interval (nxt.lo, cur.hi)
+    punctures = [(nxt.lo + cur.hi) / 2 for cur, nxt in zip(clipped, clipped[1:])]
     if not punctures:
         return [box], []
     cuts = [a] + punctures + [b]
@@ -347,6 +343,7 @@ def puncture_cleanup(
     if not pts:
         return is_discrete([])
     t = ambient.closure() if ambient is not None else _target_interval(cover)
+    gaps = [q - p for p, q in zip(pts, pts[1:])]
     members = []
     for i, p in enumerate(pts):
         hits = cover.members_containing_point(p)
@@ -355,8 +352,8 @@ def puncture_cleanup(
         comp = next(
             c for c in cover.member(hits[0]).components if c.contains(p)
         )
-        neighbors = [abs(p - q) for j, q in enumerate(pts) if j != i]
-        spacing = min(neighbors) if neighbors else None
+        near = gaps[max(i - 1, 0) : i + 1]  # to the sorted neighbours
+        spacing = min(near) if near else None
         members.append(shrink_around(p, comp, t, spacing))
     return is_discrete(members)
 

@@ -77,6 +77,48 @@ def test_play_config_file_defaults(tmp_path, capsys):
     assert json.loads(lines[-1])["verdict"] == "two-wins-covered"
 
 
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "intervalgames", *argv],
+        capture_output=True,
+        text=True,
+    )
+
+
+def write_puncture_config(tmp_path):
+    cfg = tmp_path / "game.cfg"
+    cfg.write_text("ruleset = disjoint\nlength = 2\ntwo = chain-puncture\n")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("flags", [["--two", "empty"], ["--two=empty"]])
+def test_explicit_flags_beat_the_config_file(flags, tmp_path, capsys):
+    cfg = write_puncture_config(tmp_path)
+    code = run_cli("play", "--config", cfg, *flags, "--json", str(tmp_path / "t.jsonl"))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "ruleset=disjoint length=2 " in out and "two=empty" in out
+
+
+def test_explicit_flags_beat_the_config_file_from_the_shell(tmp_path):
+    cfg = write_puncture_config(tmp_path)
+    proc = run_module("play", "--config", cfg, "--two=empty", "--json", str(tmp_path / "t.jsonl"))
+    assert proc.returncode == 0
+    assert "two=empty" in proc.stdout
+
+
+def test_cover_error_exits_3_with_one_line(tmp_path):
+    # chain-puncture needs single-interval member traces; avoid-fixed's are not
+    proc = run_module(
+        "play", "--ruleset", "disjoint", "--length", "2", "--one", "avoid-fixed",
+        "--two", "chain-puncture", "--json", str(tmp_path / "t.jsonl"),
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cover error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_usage_errors_exit_64(capsys):
     assert run_cli("play", "--one", "nope") == 64
     assert run_cli("demo", "nope") == 64
@@ -179,10 +221,6 @@ def test_bracket_report_command(capsys):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "intervalgames", "demo", "alpha-minus"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("demo", "alpha-minus")
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout

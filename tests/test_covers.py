@@ -273,6 +273,8 @@ def test_chain_drops_redundant_member():
 
 def test_chain_single_member():
     assert chain_subcover(cover_of("[0,1]", "(-1,2)")) == [0]
+    # a member touching the target only from outside has an empty trace
+    assert chain_subcover(cover_of("[0,1]", "(-1,2)", "(1,2)")) == [0]
 
 
 def test_chain_three_members():
@@ -295,3 +297,19 @@ def test_chain_property_on_seeded_covers():
             assert not x.intersect(y).is_empty
         for x, y in zip(clipped, clipped[2:]):
             assert x.intersect(y).is_empty
+
+
+def test_chain_rejects_a_trace_closed_inside_the_target():
+    with pytest.raises(CoverError, match="not relatively open"):
+        chain_subcover(cover_of("[0,1]", "(-1,1/2]", "(1/4,2)"))
+
+
+def test_chain_links_are_irredundant_on_seeded_covers():
+    rng = random.Random(911)
+    for _ in range(60):
+        target = random_target(rng)
+        cover = random_cover(rng, target, extra=True)
+        chain = chain_subcover(cover)
+        for dropped in chain:
+            rest = union_all([cover.members[i] for i in chain if i != dropped])
+            assert not RSet((target,)).is_subset(rest)

@@ -457,7 +457,7 @@ def test_extension_cap_trips_protocol_error():
         target=TargetSpec.full(),
         one="grid",
         two="halving-omega-plus-1",
-        schedule=InningSchedule(main_budget=1, extension_policy="bounded:0"),
+        schedule=InningSchedule(main_budget=1, extension_cap=0),
     )
     with pytest.raises(ProtocolError):
         play(cfg)

@@ -8,7 +8,6 @@ from intervalgames.ordinals import (
     Ordinal,
     OrdinalError,
     ZERO,
-    compare,
     inning_iterator,
     parse_ordinal,
     reduced_length,
@@ -46,7 +45,6 @@ def test_parse_accepts_omitted_power_coefficient():
 def test_addition_examples():
     assert o("w").add(o("1")) == o("w+1")
     assert o("1").add(o("w")) == o("w")  # absorption
-    assert compare(o("w*2"), o("w+5")) == 1
 
 
 def test_successor_and_order():
@@ -171,6 +169,4 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         InningSchedule(main_budget=0)
     with pytest.raises(ValueError):
-        InningSchedule(extension_policy="whatever")
-    assert InningSchedule(extension_policy="unbounded").extension_cap() is None
-    assert InningSchedule(extension_policy="bounded:9").extension_cap() == 9
+        InningSchedule(extension_cap=-1)
