@@ -81,8 +81,13 @@ def _check(label: str, ok: bool) -> bool:
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read config file {path!r}: {reason}") from None
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -521,13 +526,22 @@ def build_parser() -> Parser:
 
 def _apply_config_file(parser: Parser, args, argv: list[str]):
     """Parse `argv` again with the --config file's values as the
-    subcommand's defaults, so explicit flags win."""
+    subcommand's defaults, so explicit flags win.  A key names a flag of
+    the subcommand or its destination (`as` or `as_side` for `--as`);
+    any other key is an input error."""
     if not getattr(args, "config", None):
         return args
+    sub = parser.commands[args.command]
+    dests = {}
+    for action in sub._actions:
+        for opt in action.option_strings:
+            if opt.startswith("--") and action.dest != "help":
+                dests[opt[2:].replace("-", "_")] = dests[action.dest] = action.dest
     values = _read_config_file(args.config)
-    parser.commands[args.command].set_defaults(
-        **{key: val for key, val in values.items() if hasattr(args, key)}
-    )
+    for key in values:
+        if key not in dests:
+            raise InputError(f"config key {key!r} names no flag of {args.command!r}")
+    sub.set_defaults(**{dests[key]: val for key, val in values.items()})
     return parser.parse_args(argv)
 
 

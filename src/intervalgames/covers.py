@@ -51,18 +51,7 @@ class Cover:
             raise CoverError(
                 f"members do not cover the target; uncovered part: {missing}"
             )
-        comps = sorted(
-            ((c, i) for i, m in enumerate(self.members) for c in m.components),
-            key=lambda t: (t[0].lo, t[0].hi),
-        )
-        running = Fraction(0)
-        max_hi_prefix = []
-        for c, _ in comps:
-            running = c.hi if not max_hi_prefix else max(running, c.hi)
-            max_hi_prefix.append(running)
-        object.__setattr__(
-            self, "_index", (comps, tuple(c.lo for c, _ in comps), tuple(max_hi_prefix))
-        )
+        object.__setattr__(self, "_index", _point_index(self.members))
 
     def member(self, i: int) -> RSet:
         """Member i, without building the others of a `GridCover`."""
@@ -95,10 +84,23 @@ class Cover:
         return sorted(hit)
 
     def restricted_to(self, piece: Interval) -> "Cover":
-        """Sub-cover of a closed piece of the target, keeping only members
-        that meet it.  Member sets are not clipped."""
+        """Sub-cover of the closed piece [lo, hi] of the target, keeping
+        only the members whose closure meets it.  Member sets are not
+        clipped.
+
+        When the piece lies inside this cover's proven union, the
+        sub-cover needs no proof of its own: each point of the piece lies
+        in some member, and that member's closure meets the piece, so the
+        kept members cover it.  Otherwise the sub-cover goes through the
+        checking constructor, which raises `CoverError` for the part of
+        the piece no member covers.
+        """
+        target = RSet((piece.closure(),))
         idxs = self.members_touching(piece.lo, piece.hi)
-        return Cover(RSet((piece.closure(),)), tuple(self.member(i) for i in idxs))
+        members = tuple(self.member(i) for i in idxs)
+        if target.is_subset(self.union):
+            return _SubCover(target, members)
+        return Cover(target, members)
 
     def refinement_witnesses(
         self, family: Sequence[RSet]
@@ -106,6 +108,39 @@ class Cover:
         """`sets.refines` against this cover, using its point index so
         the candidate search does not scan all members."""
         return refines(family, self.members, self.members_containing_point)
+
+
+def _point_index(members: Sequence[RSet]) -> tuple:
+    """Member components sorted by left end, their left ends, and the
+    running maximum of their right ends: what `members_touching` and
+    `members_containing_point` search."""
+    comps = sorted(
+        ((c, i) for i, m in enumerate(members) for c in m.components),
+        key=lambda t: (t[0].lo, t[0].hi),
+    )
+    running = Fraction(0)
+    max_hi_prefix = []
+    for c, _ in comps:
+        running = c.hi if not max_hi_prefix else max(running, c.hi)
+        max_hi_prefix.append(running)
+    return comps, tuple(c.lo for c, _ in comps), tuple(max_hi_prefix)
+
+
+class _SubCover(Cover):
+    """A restriction of a cover to a piece of its proven union.
+
+    Coverage follows from the parent's proof (`Cover.restricted_to`), so
+    nothing is re-proved; the union is formed only if someone asks.
+    """
+
+    def __init__(self, target: RSet, members: tuple[RSet, ...]):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_index", _point_index(members))
+
+    @cached_property
+    def union(self) -> RSet:
+        return union_all(self.members)
 
 
 def _target_interval(cover: Cover) -> Interval:

@@ -266,34 +266,71 @@ def union_all(rsets: Iterable[RSet]) -> RSet:
     return normalize(c for rs in rsets for c in rs.components)
 
 
+def _events(rset: RSet) -> list[tuple[Fraction, bool, bool]]:
+    """The distinct endpoints of a canonical RSet, in order, as
+    (point, in the set at the point, in the set just right of it).
+
+    In canonical form two components share an endpoint only when both
+    are open there, so that point is one event: out at it, in after it.
+    """
+    out: list[tuple[Fraction, bool, bool]] = []
+    for c in rset.components:
+        if c.lo == c.hi:
+            out.append((c.lo, True, False))
+            continue
+        if c.lo_open and out and out[-1][0] == c.lo:
+            out[-1] = (c.lo, False, True)
+        else:
+            out.append((c.lo, not c.lo_open, True))
+        out.append((c.hi, not c.hi_open, False))
+    return out
+
+
 def _combine(a: RSet, b: RSet, keep: Callable[[bool, bool], bool]) -> RSet:
-    """Pointwise boolean combination via an elementary-piece sweep.
+    """Pointwise boolean combination by one merge sweep.
 
     The endpoints of both operands split the line into points and open
-    gaps on which membership is constant; each piece is classified with
-    one exact test.
+    gaps on which membership in each operand is constant.  Each
+    operand's endpoints are already sorted (`_events`), so one merge
+    visits every distinct endpoint once, with each operand's membership
+    at that point and on the gap after it; an operand without an
+    endpoint there keeps its membership from the gap before.  The kept
+    points and gaps are glued into maximal components as the sweep goes,
+    which is the canonical form, so the result needs no normalizing.
+    Work is linear in the operands' sizes.  `keep(False, False)` must be
+    False: the set is empty left of all endpoints and right of them.
     """
-    pts = sorted(
-        {c.lo for c in a.components}
-        | {c.hi for c in a.components}
-        | {c.lo for c in b.components}
-        | {c.hi for c in b.components}
-    )
-    if not pts:
-        return RSet.empty()
-    marks: list[tuple[Fraction, Fraction, bool, bool]] = []  # lo, hi, closed-ends, keep
-    for i, p in enumerate(pts):
-        if keep(a.contains(p), b.contains(p)):
-            marks.append((p, p, True, True))
-        if i + 1 < len(pts):
-            mid = (p + pts[i + 1]) / 2
-            if keep(a.contains(mid), b.contains(mid)):
-                marks.append((p, pts[i + 1], False, False))
-    ivs = [
-        Interval(lo, hi, False, False) if closed_ends else Interval(lo, hi, True, True)
-        for lo, hi, closed_ends, _ in marks
-    ]
-    return normalize(ivs)
+    ea, eb = _events(a), _events(b)
+    na, nb = len(ea), len(eb)
+    i = j = 0
+    a_after = b_after = False
+    out: list[Interval] = []
+    start: Optional[tuple[Fraction, bool]] = None  # open component: (lo, lo_open)
+    while i < na or j < nb:
+        if j == nb or (i < na and ea[i][0] < eb[j][0]):
+            p, a_at, a_after = ea[i]
+            b_at = b_after
+            i += 1
+        elif i == na or eb[j][0] != ea[i][0]:
+            p, b_at, b_after = eb[j]
+            a_at = a_after
+            j += 1
+        else:
+            p, a_at, a_after = ea[i]
+            _, b_at, b_after = eb[j]
+            i += 1
+            j += 1
+        at, after = keep(a_at, b_at), keep(a_after, b_after)
+        if start is not None:
+            if at and after:
+                continue
+            out.append(Interval(start[0], p, start[1], not at))
+            start = (p, True) if not at and after else None
+        elif after:
+            start = (p, not at)
+        elif at:
+            out.append(Interval(p, p, False, False))
+    return RSet(tuple(out))
 
 
 def point_distance(rset: RSet, x) -> Fraction:

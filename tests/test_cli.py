@@ -144,6 +144,22 @@ def test_malformed_play_input_exits_64(flag, value, tmp_path, capsys):
     assert not (tmp_path / "t.jsonl").exists()
 
 
+def test_missing_config_file_exits_64(tmp_path):
+    proc = run_module("play", "--config", str(tmp_path / "nope.cfg"))
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("usage error: ") and "nope.cfg" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def test_unknown_config_key_exits_64(tmp_path, capsys):
+    cfg = tmp_path / "game.cfg"
+    cfg.write_text("rulset = disjoint\n")
+    assert run_cli("play", "--config", str(cfg), "--json", str(tmp_path / "t.jsonl")) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "'rulset'" in err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 @pytest.mark.parametrize("name", ["alpha-minus", "cantor", "rationals"])
 def test_fast_demos_pass(name, capsys):
     assert run_cli("demo", name) == 0

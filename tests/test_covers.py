@@ -11,6 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from intervalgames import covers
+from intervalgames.checks import rnd_fraction
 from intervalgames.covers import (
     Cover,
     CoverError,
@@ -261,6 +263,63 @@ def test_grid_cover_answers_match_a_generic_cover(ambient):
             + [RSet.interval(b, b + h), RSet.interval(a, a + h / 2, False, True)]
         )
         assert grid.refinement_witnesses(family) == ref.refinement_witnesses(family)
+
+
+# --- restricted sub-covers ---------------------------------------------------
+
+
+def test_restricted_to_inside_the_union_proves_nothing_again(monkeypatch):
+    """A piece of the parent's proven union gets its sub-cover without a
+    union of the members or a subtraction from the target."""
+    calls = []
+    subtract = RSet.subtract
+    monkeypatch.setattr(
+        RSet, "subtract", lambda self, other: calls.append("subtract") or subtract(self, other)
+    )
+    monkeypatch.setattr(
+        covers, "union_all", lambda rsets: calls.append("union_all") or union_all(rsets)
+    )
+    for piece in (closed(0, 1), closed("1/3", "2/5"), closed("1/2", "1/2")):
+        sub = EXAMPLE.restricted_to(piece)
+        assert sub.target == RSet((piece,))
+    grid = ball_cover(3)
+    grid.restricted_to(closed("1/7", "2/7"))
+    assert calls == []
+
+
+def test_restricted_to_outside_the_union_raises():
+    with pytest.raises(CoverError, match="uncovered part"):
+        EXAMPLE.restricted_to(closed(1, 2))
+    with pytest.raises(CoverError, match="uncovered part"):
+        Cover(RSet.empty(), (rs("(0,1/2)"), rs("(1/2,1)"))).restricted_to(closed(0, 1))
+
+
+def test_proven_sub_covers_answer_like_generic_ones():
+    """`restricted_to` of a piece inside the union answers every query as
+    a sub-cover built and proved by the checking constructor."""
+    rng = random.Random(7301)
+    for _ in range(60):
+        t = random_target(rng)
+        cover = random_cover(rng, t)
+        lo = rnd_fraction(rng, t.lo, t.hi)
+        piece = Interval(lo, rnd_fraction(rng, lo, t.hi), False, False)
+        sub = cover.restricted_to(piece)
+        idxs = cover.members_touching(piece.lo, piece.hi)
+        ref = Cover(RSet((piece,)), tuple(cover.member(i) for i in idxs))
+        assert (sub.target, sub.members, sub.union) == (ref.target, ref.members, ref.union)
+        h = piece.length / 4
+        points = sorted([piece.lo + k * h for k in range(-1, 6)] + [piece.lo + h / 3])
+        for x in points:
+            assert sub.members_containing_point(x) == ref.members_containing_point(x)
+            for y in points:
+                if x <= y:
+                    assert sub.members_touching(x, y) == ref.members_touching(x, y)
+        if piece.length > 0:
+            assert window_supremum(sub) == window_supremum(ref)
+            family = [RSet.interval(x, x + h) for x in points] + [
+                RSet.interval(x, y, False, False) for x, y in zip(points, points[2:])
+            ]
+            assert sub.refinement_witnesses(family) == ref.refinement_witnesses(family)
 
 
 # --- chain subcover ----------------------------------------------------------

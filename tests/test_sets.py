@@ -1,5 +1,6 @@
 """Exact set algebra: worked examples, laws, and certificates."""
 
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -267,3 +268,86 @@ def test_closure_and_interior_are_monotone_envelopes(a):
     assert a.interior().is_subset(a)
     assert a.closure().closure() == a.closure()
     assert a.interior().interior() == a.interior()
+
+
+# --- union / intersect / subtract against the definition ----------------------
+
+COMBINE = {
+    "union": operator.or_,
+    "intersect": operator.and_,
+    "subtract": lambda p, q: p and not q,
+}
+shared_ends = st.sampled_from([F(k, 3) for k in range(-2, 6)])
+
+
+@st.composite
+def crowded_rsets(draw) -> RSet:
+    """Sets over a few shared endpoints: the same point as an open end of
+    one interval and a closed end of another, isolated points, and
+    touching open pairs (x,y),(y,z)."""
+    ivs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        x, y, z = sorted(draw(st.lists(shared_ends, min_size=3, max_size=3)))
+        kind = draw(st.sampled_from(("interval", "point", "touching")))
+        if kind == "point" or x == y:
+            ivs.append(point(x))
+        elif kind == "interval":
+            ivs.append(Interval(x, y, draw(st.booleans()), draw(st.booleans())))
+        else:
+            ivs.append(open_iv(x, y))
+            if y < z:
+                ivs.append(open_iv(y, z))
+    return normalize(ivs)
+
+
+def probe_points(*sets: RSet) -> list[F]:
+    """Every endpoint of the sets, a point inside every gap between
+    consecutive endpoints, and a point beyond each end: membership in
+    each set is constant between consecutive endpoints."""
+    ends = sorted({e for s in sets for c in s.components for e in (c.lo, c.hi)})
+    if not ends:
+        return [F(0)]
+    mids = [(p + q) / 2 for p, q in zip(ends, ends[1:])]
+    return [ends[0] - 1, *ends, *mids, ends[-1] + 1]
+
+
+@settings(max_examples=400, derandomize=True)
+@given(crowded_rsets(), crowded_rsets(), st.sampled_from(sorted(COMBINE)))
+def test_combine_matches_the_pointwise_definition(a, b, op):
+    out = getattr(a, op)(b)
+    assert normalize(out.components) == out  # canonical
+    for x in probe_points(a, b, out):
+        assert out.contains(x) == COMBINE[op](a.contains(x), b.contains(x)), x
+
+
+def interleaved(n: int) -> tuple[RSet, RSet]:
+    """Two sets of n components each, alternating along the line and
+    overlapping their neighbours: (4k/3, (4k+2)/3) and [(4k+1)/3, (4k+3)/3]."""
+    a = RSet(tuple(open_iv(F(4 * k, 3), F(4 * k + 2, 3)) for k in range(n)))
+    b = RSet(tuple(closed(F(4 * k + 1, 3), F(4 * k + 3, 3)) for k in range(n)))
+    return a, b
+
+
+def ordering_comparisons(monkeypatch, op: str, n: int) -> int:
+    a, b = interleaved(n)
+    calls = 0
+    richcmp = F._richcmp
+
+    def counted(self, other, compare):
+        nonlocal calls
+        calls += 1
+        return richcmp(self, other, compare)
+
+    monkeypatch.setattr(F, "_richcmp", counted)
+    getattr(a, op)(b)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("op", sorted(COMBINE))
+def test_combine_work_is_linear(monkeypatch, op):
+    """Machine-independent work gate: Fraction ordering comparisons
+    (<, <=, >, >=) grow at most linearly with the operands' sizes."""
+    small = ordering_comparisons(monkeypatch, op, 50)
+    large = ordering_comparisons(monkeypatch, op, 400)
+    assert large <= 8 * small + 16, (small, large)
