@@ -16,14 +16,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .covers import Cover, ball_cover
-from .errors import InvariantViolation
+from .errors import InputError, InvariantViolation
 from .sets import (
     DiscreteFamily,
     Interval,
     RSet,
     is_discrete,
     rat,
-    refines,
     union_all,
 )
 from .two_strategies import largest_component
@@ -39,7 +38,7 @@ def _checked_response(bot, inning: int, cover: Cover) -> list[RSet]:
     for i, m in enumerate(fam):
         if m.is_empty:
             raise IllegalResponse(f"response member {i} is empty")
-    ok, _ = refines(fam, cover.members)
+    ok, _ = cover.refinement_witnesses(fam)
     if not ok:
         raise IllegalResponse("response does not refine the cover")
     is_discrete(fam)
@@ -83,7 +82,7 @@ def strategy_core(
     The result is closed, shrinks as depth grows, and always contains
     the true core (an intersection over all m)."""
     if depth_m < 1:
-        raise ValueError("depth must be >= 1")
+        raise InputError("depth must be >= 1")
     tau = tuple(tau)
     approx = RSet((ambient.closure(),))
     for m in range(1, depth_m + 1):
@@ -142,7 +141,7 @@ def find_escape(
     for the strategy."""
     witness = rat(witness)
     if not ambient.closure().contains(witness):
-        raise ValueError("witness must lie in the ambient interval")
+        raise InputError("witness must lie in the ambient interval")
     indices: list[int] = []
     checks: list[str] = []
     for step in range(depth_k):

@@ -66,11 +66,6 @@ class CantorSpec:
     def contains(self, p) -> bool:
         return self.successor(p) == rat(p)
 
-    def meets(self, piece: Interval) -> bool:
-        """Does the construction intersect the closed hull of `piece`?"""
-        s = self.successor(piece.lo)
-        return s is not None and s <= piece.hi
-
     def uncovered_point(self, open_union: RSet, ambient_box: RSet) -> Optional[Fraction]:
         """A construction point outside `open_union`, or None if covered.
 

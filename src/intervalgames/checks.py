@@ -15,10 +15,11 @@ from typing import Callable, Optional
 
 from .covers import Cover, ball_cover, lebesgue_number, verify_lebesgue, window_supremum
 from .engine import GameConfig, TargetSpec, play, replay_families_under_ruleset
+from .errors import InputError
 from .one_strategies import CompactIntersection, avoid_cover, bm_play
 from .ordinals import InningSchedule, parse_ordinal
 from .sequences import enumeration
-from .sets import Interval, RSet, closed, normalize, point, union_all
+from .sets import Interval, RSet, closed, union_all
 from .two_strategies import halving_refinement, point_sequence_avoider
 
 
@@ -28,21 +29,6 @@ class SuiteResult:
     cases: int
     ok: bool
     detail: str = ""
-
-
-def _random_rset(rng: random.Random) -> RSet:
-    ivs = []
-    for _ in range(rng.randint(0, 3)):
-        den = rng.choice([8, 12, 16, 24])
-        a = F(rng.randint(-16, 32), den)
-        b = F(rng.randint(-16, 32), den)
-        if a > b:
-            a, b = b, a
-        if a == b:
-            ivs.append(point(a))
-        else:
-            ivs.append(Interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
-    return normalize(ivs)
 
 
 def rnd_fraction(rng: random.Random, lo: F, hi: F, max_den: int = 32) -> F:
@@ -82,19 +68,6 @@ def random_cover(rng: random.Random, target: Interval, extra: bool = True) -> Co
         members.append(RSet.interval(mid - length / 8, mid + length / 8))
     rng.shuffle(members)
     return Cover(RSet((target,)), tuple(members))
-
-
-def suite_set_algebra(seed: int, cases: int) -> SuiteResult:
-    rng = random.Random(seed)
-    for i in range(cases):
-        a, b = _random_rset(rng), _random_rset(rng)
-        if a.subtract(a.subtract(b)) != a.intersect(b):
-            return SuiteResult("set-algebra", i, False, f"a={a} b={b}")
-        if a.union(b).measure() + a.intersect(b).measure() != a.measure() + b.measure():
-            return SuiteResult("set-algebra", i, False, f"measure law a={a} b={b}")
-        if normalize(a.components) != a:
-            return SuiteResult("set-algebra", i, False, f"idempotence a={a}")
-    return SuiteResult("set-algebra", cases, True)
 
 
 def suite_lebesgue(seed: int, cases: int) -> SuiteResult:
@@ -185,7 +158,6 @@ def suite_grid_covers(seed: int, cases: int) -> SuiteResult:
 
 
 ALL_SUITES: dict[str, Callable[[int, int], SuiteResult]] = {
-    "set-algebra": suite_set_algebra,
     "lebesgue": suite_lebesgue,
     "halving": suite_halving,
     "avoid-cover": suite_avoid_cover,
@@ -196,5 +168,7 @@ ALL_SUITES: dict[str, Callable[[int, int], SuiteResult]] = {
 
 
 def run_suites(seed: int, cases: int, only: Optional[str] = None) -> list[SuiteResult]:
+    if only is not None and only not in ALL_SUITES:
+        raise InputError(f"unknown suite {only!r}; known: {sorted(ALL_SUITES)}")
     names = [only] if only else list(ALL_SUITES)
     return [ALL_SUITES[name](seed, cases) for name in names]

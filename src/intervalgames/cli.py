@@ -391,7 +391,11 @@ def cmd_interactive(args, stdin=None) -> int:
     target = TargetSpec.parse(args.target)
     ruleset = {"d": "discrete", "c": "disjoint"}.get(args.ruleset, args.ruleset)
     innings = _int_arg("innings", args.innings)
+    if innings < 1:
+        raise InputError("--innings must be >= 1")
     human_side = args.as_side
+    if human_side not in ("one", "two"):
+        raise InputError("interactive needs --as one or --as two")
     bot = (
         catalog.make_one(args.one, ambient, target)
         if human_side == "two"
@@ -457,12 +461,13 @@ def cmd_interactive(args, stdin=None) -> int:
             for m in checked.members:
                 print(f"    {m}")
             covered = covered.union(union_all(list(checked.members)))
-        remaining = box.subtract(covered)
-        print(f"  uncovered measure so far: {remaining.measure()}")
-        if remaining.is_empty:
+        print(f"  uncovered measure so far: {box.subtract(covered).measure()}")
+        missed = target.uncovered(covered, ambient, materialized=inning + 1)
+        if missed is None:
             print("target covered: the covering player wins")
             return EXIT_OK
-    print(f"truncated after {innings} innings; uncovered: {box.subtract(covered)}")
+    witness = "; ".join(f"{key}: {val}" for key, val in missed.items())
+    print(f"truncated after {innings} innings; {witness}")
     return EXIT_OK
 
 
@@ -507,7 +512,7 @@ def build_parser() -> Parser:
 
     int_p = sub.add_parser("interactive", help="play one side at the terminal")
     add_common(int_p)
-    int_p.add_argument("--as", dest="as_side", choices=["one", "two"], required=True)
+    int_p.add_argument("--as", dest="as_side", choices=["one", "two"])
     int_p.add_argument("--ruleset", default="discrete")
     int_p.add_argument("--one", default="grid")
     int_p.add_argument("--two", default="halving")

@@ -72,16 +72,17 @@ class Cover:
 
     def members_containing_point(self, x: Fraction) -> list[int]:
         """Indices of members containing x, in index order."""
-        comps, los, max_hi = self._index
-        end = bisect_right(los, x)
-        hit = set()
-        for k in range(end - 1, -1, -1):
-            if max_hi[k] < x:
-                break
-            c, i = comps[k]
-            if c.contains(x):
-                hit.add(i)
-        return sorted(hit)
+        return [i for i in self.members_touching(x, x) if self.member(i).contains(x)]
+
+    def holding(self, lo: Fraction, hi: Fraction) -> Optional[Interval]:
+        """The component holding the closed interval [lo, hi] in the
+        lowest-indexed member that holds it, or None if no member does."""
+        piece = Interval(lo, hi, False, False)
+        for i in self.members_touching(lo, hi):
+            for c in self.member(i).components:
+                if c.contains_interval(piece):
+                    return c
+        return None
 
     def restricted_to(self, piece: Interval) -> "Cover":
         """Sub-cover of the closed piece [lo, hi] of the target, keeping
@@ -112,8 +113,8 @@ class Cover:
 
 def _point_index(members: Sequence[RSet]) -> tuple:
     """Member components sorted by left end, their left ends, and the
-    running maximum of their right ends: what `members_touching` and
-    `members_containing_point` search."""
+    running maximum of their right ends: what `members_touching`
+    searches."""
     comps = sorted(
         ((c, i) for i, m in enumerate(members) for c in m.components),
         key=lambda t: (t[0].lo, t[0].hi),
@@ -355,6 +356,11 @@ class GridCover(Cover):
             return []
         j = floor(t)
         return [j] if t == j else [j, j + 1]
+
+    def restricted_to(self, piece: Interval) -> "Cover":
+        if piece.closure() == self.ambient:
+            return self
+        return super().restricted_to(piece)
 
     def refinement_witnesses(
         self, family: Sequence[RSet]

@@ -63,10 +63,6 @@ class Ordinal:
     def finite_part(self) -> int:
         return self.terms[-1][1] if self.terms and self.terms[-1][0] == 0 else 0
 
-    @property
-    def is_limit(self) -> bool:
-        return not self.is_zero and self.finite_part == 0
-
     def coefficient(self, exp: int) -> int:
         for e, c in self.terms:
             if e == exp:

@@ -374,11 +374,6 @@ def _tagged_components(rsets: Sequence[RSet]) -> list[tuple[Interval, int]]:
     return tagged
 
 
-def _shared_closure_point(a: RSet, b: RSet) -> Fraction:
-    meet = a.closure().intersect(b.closure())
-    return meet.representative()
-
-
 def is_discrete(members: Sequence[RSet]) -> DiscreteFamily:
     """Certify pairwise disjoint closures, or raise FamilyNotDiscrete.
 

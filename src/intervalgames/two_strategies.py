@@ -73,11 +73,7 @@ def halving_refinement(
     step = t.length / m
     grid = [t.lo + i * step for i in range(m + 1)]
     for i in range(m):
-        cell = RSet.interval(grid[i], grid[i + 1], False, False)
-        if not any(
-            cell.is_subset(cover.member(j))
-            for j in cover.members_touching(grid[i], grid[i + 1])
-        ):
+        if cover.holding(grid[i], grid[i + 1]) is None:
             raise InvariantViolation(
                 f"grid cell [{grid[i]},{grid[i + 1]}] fits no cover member"
             )
@@ -143,18 +139,6 @@ def halving_step(
     return family, HalvingState(tuple(new_residual), state.inning + 1)
 
 
-def _first_fit(cover: Cover, piece: Interval) -> tuple[int, Interval]:
-    """First cover member containing the closed piece, and its component."""
-    box = RSet((piece.closure(),))
-    for i in cover.members_touching(piece.lo, piece.hi):
-        member = cover.member(i)
-        if box.is_subset(member):
-            for comp in member.components:
-                if comp.contains_interval(piece.closure()):
-                    return i, comp
-    raise CoverError(f"no cover member contains [{piece.lo},{piece.hi}]")
-
-
 def _fattening_radius(
     piece: Interval, comp: Interval, sibling_gap: Optional[Fraction]
 ) -> Fraction:
@@ -173,22 +157,17 @@ def _fattening_radius(
 
 
 def limit_fattening(
-    state: HalvingState,
-    cover: Cover,
-    ambient: Interval,
-    delta: Optional[Fraction] = None,
+    state: HalvingState, cover: Cover, ambient: Interval
 ) -> DiscreteFamily:
     """The move after a limit stage: fatten each residual cell into an
     open interval inside a single member of the limit cover.
 
-    Requires every residual cell to be shorter than `delta`, the limit
-    cover's verified Lebesgue number (the extension protocol guarantees
-    this).  A caller that already holds that number passes it in;
-    otherwise it is computed from the cover.  Together with the earlier
-    halving families the play then covers the whole ambient interval.
+    Requires every residual cell to be shorter than the limit cover's
+    verified Lebesgue number (the extension protocol guarantees this).
+    Together with the earlier halving families the play then covers the
+    whole ambient interval.
     """
-    if delta is None:
-        delta = lebesgue_number(cover)
+    delta = lebesgue_number(cover)
     for piece in state.residual:
         if piece.length >= delta:
             raise ValueError("residual cells still too long for the limit move")
@@ -196,7 +175,9 @@ def limit_fattening(
     box = RSet((ambient,))
     members = []
     for piece in state.residual:
-        _, comp = _first_fit(cover, piece)
+        comp = cover.holding(piece.lo, piece.hi)
+        if comp is None:
+            raise CoverError(f"no cover member contains [{piece.lo},{piece.hi}]")
         gamma = _fattening_radius(piece, comp, gap)
         fat = RSet.interval(piece.lo - gamma, piece.hi + gamma).intersect(box)
         members.append(fat)
@@ -212,9 +193,8 @@ def cantor_fattening_level(cover: Cover, spec: CantorSpec) -> int:
     which every fattened piece actually fits, found by direct search.
     """
     length = spec.ambient.length
-    ambient_cover: Optional[Cover] = None
     try:
-        ambient_cover = Cover(RSet((spec.ambient,)), cover.members)
+        ambient_cover = cover.restricted_to(spec.ambient)
     except CoverError:
         ambient_cover = None
     if ambient_cover is not None:
@@ -223,27 +203,17 @@ def cantor_fattening_level(cover: Cover, spec: CantorSpec) -> int:
         while Fraction(5, 3) * length / 3**n >= delta:
             n += 1
         return n
+    a, b = spec.ambient.lo, spec.ambient.hi
     for n in range(
         0, 64
     ):  # fallback: members cover the construction but not the ambient
         gamma = length / 3 ** (n + 1)
         if all(
-            _fits_some_member(cover, piece, gamma, spec.ambient)
-            for piece in spec.pieces(n)
+            cover.holding(max(p.lo - gamma, a), min(p.hi + gamma, b)) is not None
+            for p in spec.pieces(n)
         ):
             return n
     raise CoverError("no fattening level fits; cover does not cover the target")
-
-
-def _fits_some_member(cover: Cover, piece: Interval, gamma: Fraction, ambient: Interval) -> bool:
-    fat = RSet.interval(piece.lo - gamma, piece.hi + gamma).intersect(
-        RSet((ambient,))
-    )
-    closure = fat.closure()
-    return any(
-        closure.is_subset(cover.member(i))
-        for i in cover.members_touching(piece.lo - gamma, piece.hi + gamma)
-    )
 
 
 def cantor_one_shot(cover: Cover, spec: CantorSpec) -> DiscreteFamily:
@@ -256,12 +226,12 @@ def cantor_one_shot(cover: Cover, spec: CantorSpec) -> DiscreteFamily:
     """
     n = cantor_fattening_level(cover, spec)
     gamma = spec.ambient.length / 3 ** (n + 1)
+    a, b = spec.ambient.lo, spec.ambient.hi
     box = RSet((spec.ambient,))
     members = []
     for piece in spec.pieces(n):
         fat = RSet.interval(piece.lo - gamma, piece.hi + gamma).intersect(box)
-        closure = fat.closure()
-        if not any(closure.is_subset(m) for m in cover.members):
+        if cover.holding(max(piece.lo - gamma, a), min(piece.hi + gamma, b)) is None:
             raise CoverError(
                 f"fattened piece {fat} fits no cover member; invalid cover"
             )
@@ -298,11 +268,9 @@ def countable_target_move(
     cover member containing it.  After n innings the first n points of
     the enumeration are covered."""
     q = spec.point(inning)
-    hits = cover.members_containing_point(q)
-    if not hits:
+    comp = cover.holding(q, q)
+    if comp is None:
         raise CoverError(f"no cover member contains the target point {q}")
-    member = cover.member(hits[0])
-    comp = next(c for c in member.components if c.contains(q))
     return is_discrete([shrink_around(q, comp, spec.ambient)])
 
 
@@ -346,12 +314,9 @@ def puncture_cleanup(
     gaps = [q - p for p, q in zip(pts, pts[1:])]
     members = []
     for i, p in enumerate(pts):
-        hits = cover.members_containing_point(p)
-        if not hits:
+        comp = cover.holding(p, p)
+        if comp is None:
             raise CoverError(f"no cover member contains puncture {p}")
-        comp = next(
-            c for c in cover.member(hits[0]).components if c.contains(p)
-        )
         near = gaps[max(i - 1, 0) : i + 1]  # to the sorted neighbours
         spacing = min(near) if near else None
         members.append(shrink_around(p, comp, t, spacing))
@@ -475,19 +440,16 @@ class HalvingTwo(TwoBot):
 class HalvingOmegaPlusOneTwo(HalvingTwo):
     """Halving with the limit-stage finisher: once the limit cover is
     revealed, request extension innings until every residual cell is
-    shorter than its Lebesgue number, then fatten the cells away."""
-
-    def __init__(self, ambient: Interval):
-        super().__init__(ambient)
-        self._limit_delta: Optional[Fraction] = None
+    shorter than its Lebesgue number, then fatten the cells away.  The
+    number is taken on the whole ambient, where the residual cells lie,
+    whatever part of the target the cover was validated against."""
 
     def at_limit(self, cover: Cover):
-        if self._limit_delta is None:
-            self._limit_delta = lebesgue_number(cover)
-        if any(p.length >= self._limit_delta for p in self.state.residual):
+        cover = cover.restricted_to(self.ambient)
+        delta = lebesgue_number(cover)
+        if any(p.length >= delta for p in self.state.residual):
             return "extend"
-        delta, self._limit_delta = self._limit_delta, None
-        return list(limit_fattening(self.state, cover, self.ambient, delta).members)
+        return list(limit_fattening(self.state, cover, self.ambient).members)
 
 
 class CantorOneShotTwo(TwoBot):

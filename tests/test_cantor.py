@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from intervalgames.cantor import CantorSpec
-from intervalgames.sets import Interval, closed, parse_rset
+from intervalgames.sets import closed, parse_rset
 
 UNIT = CantorSpec(closed(0, 1))
 
@@ -69,12 +69,6 @@ def test_membership():
     assert UNIT.contains(F(3, 4))
     assert not UNIT.contains(F(1, 2))
     assert not UNIT.contains(F(4, 10))
-
-
-def test_meets():
-    assert not UNIT.meets(Interval(F(2, 5), F(3, 5), False, False))
-    assert UNIT.meets(Interval(F(3, 10), F(7, 20), False, False))
-    assert UNIT.meets(Interval(F(0), F(1, 100), False, False))
 
 
 def test_uncovered_point():

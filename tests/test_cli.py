@@ -125,6 +125,7 @@ def test_usage_errors_exit_64(capsys):
     assert run_cli("play", "--length", "spam") == 64
     assert run_cli("play", "--two", "bm-first-category:rationals") == 64
     assert run_cli("nonsense") == 64
+    assert run_cli("interactive") == 64  # no side to play
 
 
 @pytest.mark.parametrize(
@@ -158,6 +159,21 @@ def test_unknown_config_key_exits_64(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "'rulset'" in err
     assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--suite", "nope"),
+        ("analyze", "escape", "--two", "halving", "--witness", "5"),
+        ("analyze", "core", "--two", "halving", "--depth", "0"),
+    ],
+)
+def test_malformed_check_and_analyze_input_exits_64(argv):
+    proc = run_module(*argv)
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", ["alpha-minus", "cantor", "rationals"])
@@ -227,6 +243,39 @@ def test_interactive_as_one_validates_cover(monkeypatch, capsys):
     assert code == 0
     assert "IncompleteCover" in out  # first cover misses part of [0,1]
     assert "opponent family" in out
+
+
+def test_interactive_scores_against_the_target(monkeypatch, capsys):
+    # [0,3/8) lies in a member of the avoidance cover and holds the target
+    code = run_cli(
+        "interactive", "--as", "two", "--one", "avoid-fixed",
+        "--target", "closed:[0,1/4]", "--innings", "2",
+        stdin_text="[0,3/8)\n[0,3/8)\n", monkeypatch=monkeypatch,
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "target covered: the covering player wins" in out
+    assert "truncated" not in out
+
+
+def test_interactive_truncation_names_an_uncovered_target_part(monkeypatch, capsys):
+    code = run_cli(
+        "interactive", "--as", "two", "--one", "avoid-fixed",
+        "--target", "closed:[0,1/4]", "--innings", "1",
+        stdin_text="(0,1/8)\n", monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert "truncated after 1 innings; uncovered: [0,0];[1/8,1/4]" in capsys.readouterr().out
+
+
+def test_interactive_side_from_the_config_file(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "side.cfg"
+    cfg.write_text("as = two\n")
+    code = run_cli(
+        "interactive", "--config", str(cfg), stdin_text="quit\n", monkeypatch=monkeypatch
+    )
+    assert code == 0
+    assert "resigned" in capsys.readouterr().out
 
 
 def test_bracket_report_command(capsys):

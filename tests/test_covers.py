@@ -213,6 +213,15 @@ def test_ball_cover_members_are_definitional_traces(ambient):
             assert m == ball.intersect(box), (n, k)
 
 
+def holding_by_scan(cover: Cover, lo: F, hi: F):
+    """`Cover.holding` by its definition: scan every member in index order."""
+    box = RSet((Interval(lo, hi, False, False),))
+    for m in cover.members:
+        if box.is_subset(m):
+            return next(c for c in m.components if box.is_subset(RSet((c,))))
+    return None
+
+
 @pytest.mark.parametrize(
     "ambient", [(0, 1), ("1/4", "3/4"), (-1, "2/3"), ("1/5", 2)]
 )
@@ -246,8 +255,12 @@ def test_grid_cover_answers_match_a_generic_cover(ambient):
             (b + h / 4, b + 2 * h),
             (a + h / 3, b - h / 3),
         ] + list(zip(grid_points, midpoints[2:])) + list(zip(midpoints, grid_points[3:]))
+        windows += list(zip(grid_points, midpoints)) + list(zip(midpoints, midpoints[1:]))
         for lo, hi in windows:
             assert grid.members_touching(lo, hi) == ref.members_touching(lo, hi), (n, lo, hi)
+            assert grid.holding(lo, hi) == ref.holding(lo, hi), (n, lo, hi)
+            if n <= 3:
+                assert ref.holding(lo, hi) == holding_by_scan(ref, lo, hi), (n, lo, hi)
             if a <= lo <= hi <= b:
                 piece = Interval(lo, hi, False, False)
                 mine, theirs = grid.restricted_to(piece), ref.restricted_to(piece)
@@ -314,6 +327,8 @@ def test_proven_sub_covers_answer_like_generic_ones():
             for y in points:
                 if x <= y:
                     assert sub.members_touching(x, y) == ref.members_touching(x, y)
+                    assert sub.holding(x, y) == ref.holding(x, y)
+                    assert sub.holding(x, y) == holding_by_scan(sub, x, y)
         if piece.length > 0:
             assert window_supremum(sub) == window_supremum(ref)
             family = [RSet.interval(x, x + h) for x in points] + [

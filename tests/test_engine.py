@@ -309,6 +309,21 @@ def test_omega_plus_one_halving_win_vs_grid():
         assert rs("[0,1]").subtract(covered).measure() == F(1, 2 ** (n + 1))
 
 
+@pytest.mark.parametrize("one", ["grid", "avoid-fixed"])
+@pytest.mark.parametrize(
+    "target", ["gdelta", "cantor", "countable:triadic", "closed:[0,1/4];[1/2,1]"]
+)
+def test_omega_plus_one_halving_wins_on_non_full_targets(target, one):
+    """The limit move fattens the residual cells of the whole ambient, so
+    it needs the limit cover's Lebesgue number on the ambient, not on the
+    part of the target the cover was validated against."""
+    t = play(
+        config("discrete", "w+1", one, "halving-omega-plus-1", TargetSpec.parse(target), budget=6)
+    )
+    assert t.verdict.outcome == "two-wins-covered"
+    assert union_all([m for r in t.records for m in r.family.members]) == rs("[0,1]")
+
+
 def test_omega_truncated_main_compact_certifies():
     t = play(config("discrete", "w", "main-compact", "halving", budget=25))
     assert t.verdict.outcome == "one-wins-certified"

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from intervalgames.cantor import CantorSpec
-from intervalgames.covers import Cover, ball_cover, lebesgue_number, window_supremum
+from intervalgames.covers import Cover, ball_cover, window_supremum
 from intervalgames.sequences import EnumeratedPoints
 from intervalgames.sets import (
     FamilyNotDiscrete,
@@ -132,7 +132,7 @@ def test_limit_fattening_single_piece():
 
 def test_limit_fattening_rejects_long_pieces():
     state = HalvingState((closed(0, "1/2"),), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too long for the limit move"):
         limit_fattening(state, TRIVIAL, closed(0, 1))
 
 
@@ -146,18 +146,6 @@ def test_limit_fattening_keeps_discreteness():
     assert ok
     for piece in state.residual:
         assert RSet((piece,)).is_subset(union_all(list(fam.members)))
-
-
-def test_limit_fattening_uses_the_callers_lebesgue_number():
-    state = HalvingState((closed(0, "1/64"), closed("1/2", "33/64"),), 2)
-    cover = ball_cover(2)
-    delta = lebesgue_number(cover)
-    assert delta == F(1, 32)
-    passed = limit_fattening(state, cover, closed(0, 1), delta)
-    assert passed == limit_fattening(state, cover, closed(0, 1))
-    # the refusal applies to the number passed in, not a recomputed one
-    with pytest.raises(ValueError):
-        limit_fattening(state, cover, closed(0, 1), F(1, 64))
 
 
 # --- cantor one-shot ---------------------------------------------------------
