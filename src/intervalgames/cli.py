@@ -415,10 +415,11 @@ def cmd_interactive(args, stdin=None) -> int:
 
     for inning in range(innings):
         if human_side == "two":
-            cover = validate_cover(bot.next_cover().members, target, ambient)
-            print(f"inning {inning}: cover with {len(cover.members)} members:")
-            for i, m in enumerate(cover.members):
-                print(f"  [{i}] {m}")
+            cover = validate_cover(bot.next_cover(), target, ambient)
+            texts = cover.member_texts()
+            print(f"inning {inning}: cover with {len(texts)} members:")
+            for i, text in enumerate(texts):
+                print(f"  [{i}] {text}")
             while True:
                 line = prompt("your family> ")
                 if line is None or line == "quit":

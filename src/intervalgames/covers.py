@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
 from typing import Optional
 
 from .sets import Interval, RSet, normalize, rat, refines, union_all
@@ -110,6 +110,10 @@ class Cover:
         the candidate search does not scan all members."""
         return refines(family, self.members, self.members_containing_point)
 
+    def member_texts(self) -> list[str]:
+        """`str` of every member, in index order: what a transcript writes."""
+        return [str(m) for m in self.members]
+
 
 def _point_index(members: Sequence[RSet]) -> tuple:
     """Member components sorted by left end, their left ends, and the
@@ -162,11 +166,11 @@ def window_supremum(cover: Cover) -> Fraction:
     may not be.  Computed by one left-to-right sweep over component
     endpoints: the supremum is the tightest hand-off between members,
     capped by the target length and by the reach of members covering b.
-    A grid cover's supremum is its step h: a window starting at a grid
-    point jh fits only in member j, which ends at (j+1)h, and every
-    window shorter than h fits in member j or j+1.
+    A grid cover of its own ambient has supremum its step h: a window
+    starting at a grid point jh fits only in member j, which ends at
+    (j+1)h, and every window shorter than h fits in member j or j+1.
     """
-    if isinstance(cover, GridCover):
+    if isinstance(cover, GridCover) and cover.target == cover.union:
         return cover.step
     t = _target_interval(cover)
     a, b = t.lo, t.hi
@@ -295,31 +299,48 @@ class GridCover(Cover):
     With h = len(ambient) * 2^-(n+2) (`step`), member k, for k = 0..2^(n+2),
     is the trace of ((k-1)h, (k+1)h) on the ambient: relatively open,
     nonempty, and closed exactly where the ambient's ends cut it.  The
-    members cover the ambient, which is the target and the union.
+    members cover the ambient, which is the union and, unless a smaller
+    `target` is given, the target.
 
-    Queries are answered in closed form from n and the ambient.  The
-    member tuple is built on first use of `members`, once per instance.
+    Queries, equality and the transcript's `member_texts` are answered in
+    closed form from n, the ambient and the target.  The member tuple is
+    built on first use of `members`, once per instance; its only callers
+    left in a match are `GreedyTwo` and `chain_subcover`.
     """
 
-    def __init__(self, n: int, ambient: Interval):
+    def __init__(self, n: int, ambient: Interval, target: Optional[RSet] = None):
         if n < 1:
             raise ValueError("grid index must be >= 1")
         if ambient.lo_open or ambient.hi_open or ambient.length <= 0:
             raise ValueError("grid ambient must be a closed interval of positive length")
         last = 2 ** (n + 2)
         box = RSet((ambient,))
+        if target is None:
+            target = box
+        elif not target.is_subset(box):
+            raise CoverError(f"grid target {target} is not inside {ambient}")
         for name, value in (
             ("n", n),
             ("ambient", ambient),
             ("last", last),
             ("step", ambient.length / last),
-            ("target", box),
+            ("target", target),
             ("union", box),
         ):
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
-        return f"GridCover({self.n}, {self.ambient})"
+        if self.target == self.union:
+            return f"GridCover({self.n}, {self.ambient})"
+        return f"GridCover({self.n}, {self.ambient}, {self.target})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GridCover):
+            return NotImplemented
+        return (self.n, self.ambient, self.target) == (other.n, other.ambient, other.target)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.ambient, self.target))
 
     def _between(self, k: int, lo: Fraction, hi: Fraction) -> RSet:
         return RSet((Interval(lo, hi, k > 0, k < self.last),))
@@ -359,13 +380,27 @@ class GridCover(Cover):
 
     def restricted_to(self, piece: Interval) -> "Cover":
         if piece.closure() == self.ambient:
-            return self
+            return self if self.target == self.union else GridCover(self.n, self.ambient)
         return super().restricted_to(piece)
 
     def refinement_witnesses(
         self, family: Sequence[RSet]
     ) -> tuple[bool, list[Optional[int]]]:
         return refines(family, _MembersByIndex(self), self.members_containing_point)
+
+    def member_texts(self) -> list[str]:
+        # grid point j is (a + j*b)/q over one common denominator q; each
+        # point is written once and shared by its two neighbouring members
+        lo, h, last = self.ambient.lo, self.step, self.last
+        q = lcm(lo.denominator, h.denominator)
+        a = lo.numerator * (q // lo.denominator)
+        b = h.numerator * (q // h.denominator)
+        pts = []
+        for num in range(a, a + (last + 1) * b, b):
+            g = gcd(num, q)
+            pts.append(str(num // g) if g == q else f"{num // g}/{q // g}")
+        inner = [f"({x},{y})" for x, y in zip(pts, pts[2:])]
+        return [f"[{pts[0]},{pts[1]})", *inner, f"({pts[-2]},{pts[-1]}]"]
 
 
 class _MembersByIndex(Sequence):

@@ -223,13 +223,13 @@ class CheckedFamily:
 @dataclass(frozen=True)
 class InningRecord:
     label: InningLabel
-    cover_members: tuple[RSet, ...]
+    cover: Cover
     family: CheckedFamily
 
     def to_json(self) -> dict:
         return {
             "inning": str(self.label.ordinal),
-            "one": [str(m) for m in self.cover_members],
+            "one": self.cover.member_texts(),
             "two": [str(m) for m in self.family.members],
             "checks": {
                 "refines": True,
@@ -284,7 +284,7 @@ def validate_cover(
     brings its union, so neither is computed again.  The result is a
     `Cover` whose own target is the exact set-inclusion part of the
     requirement; a proposed `Cover` that already has that target is
-    returned as is.
+    returned as is, and a `GridCover` stays a grid.
     """
     if not isinstance(proposed, Cover):
         proposed = tuple(proposed)
@@ -308,6 +308,8 @@ def validate_cover(
         return Cover(box, proposed)
     if proposed.target == box:
         return proposed
+    if isinstance(proposed, GridCover):
+        return GridCover(proposed.n, proposed.ambient, box)
     return Cover(box, proposed.members)
 
 
@@ -503,7 +505,7 @@ def play(config: GameConfig) -> Transcript:
         cover = validate_cover(proposed, config.target, config.ambient)
         family = two.respond(len(records), cover)
         checked = referee_step(config.ruleset, cover, family, config.ambient)
-        records.append(InningRecord(label, cover.members, checked))
+        records.append(InningRecord(label, cover, checked))
         one.observe(checked.members)
         return checked
 
@@ -536,7 +538,7 @@ def play(config: GameConfig) -> Transcript:
                 run_inning(InningLabel("inning", ext), one.next_cover())
                 continue
             checked = referee_step(config.ruleset, limit_cover, move, config.ambient)
-            records.append(InningRecord(label, limit_cover.members, checked))
+            records.append(InningRecord(label, limit_cover, checked))
             one.observe(checked.members)
             return
 
@@ -581,9 +583,10 @@ def replay_families_under_ruleset(transcript: Transcript, ruleset: str) -> list[
     list of per-record outcomes ("accepted" or the rejection kind)."""
     outcomes = []
     for rec in transcript.records:
-        cover = Cover(RSet.empty(), rec.cover_members)
         try:
-            referee_step(ruleset, cover, list(rec.family.members), transcript.config.ambient)
+            referee_step(
+                ruleset, rec.cover, list(rec.family.members), transcript.config.ambient
+            )
             outcomes.append("accepted")
         except IllegalMove as exc:
             outcomes.append(exc.kind)

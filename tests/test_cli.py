@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, transcripts, demos, REPL."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -231,6 +232,25 @@ def test_interactive_as_two_reprompts_on_parse_error(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "cannot parse" in out and "`;`-separated" in out
+
+
+def test_interactive_grid_cover_listing_is_pinned(monkeypatch, capsys):
+    """The grid covers shown to a human TWO, rejections and the final
+    witness, byte for byte."""
+    stdin_text = (
+        "(0,1/4)\n(0,1/4);(1/4,1/2)\n(1/4,3/8)\nempty\n(1/2,9/16)\n"
+        "(1/2,17/32)\nempty\n(1/8,17/128)\n"
+    )
+    code = run_cli(
+        "interactive", "--as", "two", "--one", "grid", "--innings", "6",
+        stdin_text=stdin_text, monkeypatch=monkeypatch,
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "inning 5: cover with 257 members:\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fa2c196bc044f654d76bcec3e92d37d88f9c79e16f3e52a76591a2cd4537bddb"
+    )
 
 
 def test_interactive_as_one_validates_cover(monkeypatch, capsys):

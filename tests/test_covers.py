@@ -26,7 +26,7 @@ from intervalgames.covers import (
 )
 from intervalgames.sets import Interval, RSet, closed, parse_rset, union_all
 
-from conftest import random_cover, random_target
+from conftest import random_cover, random_target, refuse_grid_members
 
 
 def rs(text: str) -> RSet:
@@ -276,6 +276,58 @@ def test_grid_cover_answers_match_a_generic_cover(ambient):
             + [RSet.interval(b, b + h), RSet.interval(a, a + h / 2, False, True)]
         )
         assert grid.refinement_witnesses(family) == ref.refinement_witnesses(family)
+
+
+@pytest.mark.parametrize("ambient", [(0, 1), ("1/5", 2), (-1, "2/3"), (-3, -1)])
+def test_grid_member_texts_are_the_members_printed(ambient):
+    amb = closed(*ambient)
+    for n in range(1, 7):
+        grid = GridCover(n, amb)
+        assert grid.member_texts() == [str(m) for m in grid.members], n
+    assert EXAMPLE.member_texts() == ["(-1/8,1/2)", "(1/4,9/8)"]
+
+
+@pytest.mark.parametrize("box", ["[0,1]", "[0,1/4];[1/2,1]", ""], ids=["ambient", "two-parts", "empty"])
+def test_grid_with_an_inclusion_target_answers_like_a_generic_cover(box, monkeypatch):
+    """A grid carrying part of its ambient as target, as `validate_cover`
+    returns it for a target that is not the whole ambient, answers every
+    query like a generic cover of its members on that target."""
+    amb = closed(0, 1)
+    target = rs(box)
+    for n in range(1, 5):
+        grid = GridCover(n, amb, target)
+        ref = Cover(target, GridCover(n, amb).members)
+        h = grid.step
+        points = [j * h / 2 for j in range(-2, 2 * grid.last + 3)]
+        windows = [(x, x) for x in points] + list(zip(points, points[1:]))
+        windows += list(zip(points, points[3:])) + [(F(-1), F(2)), (h / 3, 1 - h / 3)]
+        with monkeypatch.context() as m:
+            refuse_grid_members(m)
+            answers = [
+                (grid.members_touching(lo, hi), grid.holding(lo, hi)) for lo, hi in windows
+            ]
+            contain = [grid.members_containing_point(x) for x in points]
+            family = [RSet.interval(p, q) for p, q in zip(points, points[2:])]
+            witnesses = grid.refinement_witnesses(family)
+            whole = grid.restricted_to(amb)
+            assert whole == GridCover(n, amb)
+            assert hash(whole) == hash(GridCover(n, amb))
+            assert (grid == GridCover(n, amb)) == (box == "[0,1]")
+            assert grid == GridCover(n, amb, rs(box))
+            assert hash(grid) == hash(GridCover(n, amb, rs(box)))
+            assert window_supremum(whole) == h
+        assert answers == [(ref.members_touching(lo, hi), ref.holding(lo, hi)) for lo, hi in windows]
+        assert contain == [ref.members_containing_point(x) for x in points]
+        assert witnesses == ref.refinement_witnesses(family)
+        assert window_supremum(whole) == window_supremum(ref.restricted_to(amb))
+        for lo, hi in windows:
+            if 0 <= lo <= hi <= 1:
+                piece = Interval(lo, hi, False, False)
+                mine, theirs = grid.restricted_to(piece), ref.restricted_to(piece)
+                assert (mine.target, mine.members) == (theirs.target, theirs.members)
+        if box != "[0,1]":
+            with pytest.raises(CoverError):
+                window_supremum(grid)
 
 
 # --- restricted sub-covers ---------------------------------------------------

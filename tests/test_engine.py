@@ -1,5 +1,6 @@
 """Referee soundness, match driving, adjudication, transfers, reports."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -23,6 +24,8 @@ from intervalgames.engine import (
 from intervalgames.ordinals import InningSchedule, parse_ordinal
 from intervalgames.sets import RSet, closed, parse_rset, union_all
 from intervalgames.two_strategies import chain_puncture_refinement
+
+from conftest import refuse_grid_members
 
 AMBIENT = closed(0, 1)
 
@@ -48,6 +51,10 @@ def config(ruleset, length, one, two, target=None, budget=8) -> GameConfig:
 
 
 EXAMPLE = cover_of("(-1/8,1/2)", "(1/4,9/8)")
+
+# the criterion-02 transcript (discrete w+1, grid vs halving-omega-plus-1,
+# budget 12 on [0,1]) as `play --json` writes it, for targets full and cantor
+CRITERION_02_SHA256 = "3b8c5315356df9a97f8f7377f64ad2714628f11cec703d1936607890b7a0743b"
 
 
 # --- referee -----------------------------------------------------------------
@@ -322,6 +329,33 @@ def test_omega_plus_one_halving_wins_on_non_full_targets(target, one):
     )
     assert t.verdict.outcome == "two-wins-covered"
     assert union_all([m for r in t.records for m in r.family.members]) == rs("[0,1]")
+
+
+@pytest.mark.parametrize("target", ["full", "cantor"])
+def test_grid_limit_match_builds_no_grid_member(target, monkeypatch):
+    """The criterion-02 match is played, refereed and written out from
+    closed-form grid answers: no grid builds its member tuple."""
+    refuse_grid_members(monkeypatch)
+    t = play(
+        config(
+            "discrete", "w+1", "grid", "halving-omega-plus-1",
+            TargetSpec.parse(target), budget=12,
+        )
+    )
+    text = "\n".join(t.jsonl_lines()) + "\n"
+    assert t.verdict.outcome == "two-wins-covered"
+    assert hashlib.sha256(text.encode()).hexdigest() == CRITERION_02_SHA256
+    assert replay_families_under_ruleset(t, "disjoint") == ["accepted"] * len(t.records)
+
+
+def test_grid_validated_on_part_of_its_ambient_stays_a_grid(monkeypatch):
+    refuse_grid_members(monkeypatch)
+    grid = ball_cover(3)
+    box = rs("[0,1/4];[1/2,1]")
+    cover = validate_cover(grid, TargetSpec.closed(box), AMBIENT)
+    assert cover == covers.GridCover(3, AMBIENT, box)
+    assert validate_cover(grid, TargetSpec.cantor(), AMBIENT).target == RSet.empty()
+    assert validate_cover(grid, TargetSpec.full(), AMBIENT) is grid
 
 
 def test_omega_truncated_main_compact_certifies():
