@@ -84,6 +84,8 @@ def strategy_core(
     if depth_m < 1:
         raise InputError("depth must be >= 1")
     tau = tuple(tau)
+    if any(m < 1 for m in tau):
+        raise InputError("tau entries must be >= 1")
     approx = RSet((ambient.closure(),))
     for m in range(1, depth_m + 1):
         resp = _replay(two_factory, list(tau) + [m], ambient)
@@ -139,6 +141,8 @@ def find_escape(
 
     Failure to find an index is reported as exhaustion, never as a win
     for the strategy."""
+    if depth_k < 1 or search_m < 1:
+        raise InputError("k and search must be >= 1")
     witness = rat(witness)
     if not ambient.closure().contains(witness):
         raise InputError("witness must lie in the ambient interval")

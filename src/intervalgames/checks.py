@@ -170,5 +170,7 @@ ALL_SUITES: dict[str, Callable[[int, int], SuiteResult]] = {
 def run_suites(seed: int, cases: int, only: Optional[str] = None) -> list[SuiteResult]:
     if only is not None and only not in ALL_SUITES:
         raise InputError(f"unknown suite {only!r}; known: {sorted(ALL_SUITES)}")
+    if cases < 1:
+        raise InputError("cases must be >= 1")
     names = [only] if only else list(ALL_SUITES)
     return [ALL_SUITES[name](seed, cases) for name in names]

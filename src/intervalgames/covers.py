@@ -163,88 +163,49 @@ def window_supremum(cover: Cover) -> Fraction:
     closed window [x, x+d] inside the target [a, b] lies in one member.
 
     Lengths strictly below d* are always admissible; d* itself may or
-    may not be.  Computed by one left-to-right sweep over component
-    endpoints: the supremum is the tightest hand-off between members,
-    capped by the target length and by the reach of members covering b.
-    A grid cover of its own ambient has supremum its step h: a window
-    starting at a grid point jh fits only in member j, which ends at
-    (j+1)h, and every window shorter than h fits in member j or j+1.
+    may not be.  d* is the least gap between a window start and the
+    furthest reach of the components serving it, capped by the target
+    length and by the components that hold windows ending at b.  The gap
+    only shrinks between consecutive first starts of components, so one
+    sweep checks the start a and the left limit of each later first
+    start, and stops once a component reaching through b serves.
+    A grid cover has supremum its step h: a window starting at a grid
+    point jh fits only in member j, which ends at (j+1)h, and every
+    window shorter than h fits in member j or j+1.
     """
-    if isinstance(cover, GridCover) and cover.target == cover.union:
+    if isinstance(cover, GridCover):
         return cover.step
     t = _target_interval(cover)
     a, b = t.lo, t.hi
-    cap = b - a
-
-    # point components cannot contain a window of positive length
-    comps = [
-        c
-        for m in cover.members
-        for c in m.components
-        if c.hi >= a and c.lo <= b and c.hi > c.lo
-    ]
-    # A component "covers b" when windows ending at b fit inside it.
-    def covers_b(c: Interval) -> bool:
-        return c.hi > b or (c.hi == b and not c.hi_open)
-
-    wall = None
-    for c in comps:
-        if covers_b(c):
-            room = b - c.lo
-            if wall is None or room > wall:
-                wall = room
-    if wall is None:
+    # components of positive length meeting [a, b], each keyed by the
+    # first window start it serves; point components serve no window
+    reaches, ends = [], []
+    for m in cover.members:
+        for c in m.components:
+            if c.hi < a or c.lo > b or c.hi <= c.lo:
+                continue
+            key = (max(c.lo, a), 1 if c.lo >= a and c.lo_open else 0)
+            if c.hi > b or (c.hi == b and not c.hi_open):
+                ends.append((key, c.lo))  # windows ending at b fit in it
+            else:
+                reaches.append((key, c.hi))
+    if not ends:
         raise CoverError("no member covers windows ending at the right endpoint")
-
-    best = min(cap, wall)
-
-    # Sweep: at each qualification threshold, the binding constraint is
-    # the largest reach among members already usable there.
-    events: dict[Fraction, list[Interval]] = {}
-    for c in comps:
-        events.setdefault(c.lo, []).append(c)
-
-    def reach_of(c: Interval) -> Optional[Fraction]:
-        return None if covers_b(c) else c.hi
-
-    plateau: Optional[Fraction] = None  # None means "covers through b"
-    covers_through_b = False
-
-    def add(c: Interval) -> None:
-        nonlocal plateau, covers_through_b
-        r = reach_of(c)
-        if r is None:
-            covers_through_b = True
-        elif plateau is None or r > plateau:
-            plateau = r
-
-    for x in sorted(events):
-        if x < a:
-            for c in events[x]:
-                add(c)
-    for c in events.get(a, []):
-        if not c.lo_open:
-            add(c)
-    if plateau is None and not covers_through_b:
-        raise CoverError("no member covers windows starting at the left endpoint")
-    if not covers_through_b:
-        best = min(best, plateau - a)
-    for c in events.get(a, []):
-        if c.lo_open:
-            add(c)
-
-    for x in sorted(k for k in events if a < k < b):
-        for c in events[x]:
-            if not c.lo_open:
-                add(c)
-        if not covers_through_b:
-            if plateau is None:
-                raise CoverError(f"coverage gap at {x}")
-            best = min(best, plateau - x)
-        for c in events[x]:
-            if c.lo_open:
-                add(c)
-
+    best = min(b - a, max(b - lo for _, lo in ends))
+    through_b = min(key for key, _ in ends)
+    reaches.sort()
+    starts = sorted({key[0] for key, _ in reaches + ends if a < key[0] < b})
+    plateau, k = None, 0
+    for point in [(a, 1)] + [(s, 0) for s in starts]:
+        if point > through_b:
+            break
+        while k < len(reaches) and reaches[k][0] < point:
+            if plateau is None or reaches[k][1] > plateau:
+                plateau = reaches[k][1]
+            k += 1
+        if plateau is None:
+            raise CoverError("no member covers windows starting at the left endpoint")
+        best = min(best, plateau - point[0])
     if best <= 0:
         raise CoverError("cover admits no positive window length")
     return best
@@ -299,48 +260,41 @@ class GridCover(Cover):
     With h = len(ambient) * 2^-(n+2) (`step`), member k, for k = 0..2^(n+2),
     is the trace of ((k-1)h, (k+1)h) on the ambient: relatively open,
     nonempty, and closed exactly where the ambient's ends cut it.  The
-    members cover the ambient, which is the union and, unless a smaller
-    `target` is given, the target.
+    members cover the ambient, which is both the target and the union.
 
     Queries, equality and the transcript's `member_texts` are answered in
-    closed form from n, the ambient and the target.  The member tuple is
+    closed form from n and the ambient.  The member tuple is
     built on first use of `members`, once per instance; its only callers
     left in a match are `GreedyTwo` and `chain_subcover`.
     """
 
-    def __init__(self, n: int, ambient: Interval, target: Optional[RSet] = None):
+    def __init__(self, n: int, ambient: Interval):
         if n < 1:
             raise ValueError("grid index must be >= 1")
         if ambient.lo_open or ambient.hi_open or ambient.length <= 0:
             raise ValueError("grid ambient must be a closed interval of positive length")
         last = 2 ** (n + 2)
         box = RSet((ambient,))
-        if target is None:
-            target = box
-        elif not target.is_subset(box):
-            raise CoverError(f"grid target {target} is not inside {ambient}")
         for name, value in (
             ("n", n),
             ("ambient", ambient),
             ("last", last),
             ("step", ambient.length / last),
-            ("target", target),
+            ("target", box),
             ("union", box),
         ):
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
-        if self.target == self.union:
-            return f"GridCover({self.n}, {self.ambient})"
-        return f"GridCover({self.n}, {self.ambient}, {self.target})"
+        return f"GridCover({self.n}, {self.ambient})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GridCover):
             return NotImplemented
-        return (self.n, self.ambient, self.target) == (other.n, other.ambient, other.target)
+        return (self.n, self.ambient) == (other.n, other.ambient)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.ambient, self.target))
+        return hash((self.n, self.ambient))
 
     def _between(self, k: int, lo: Fraction, hi: Fraction) -> RSet:
         return RSet((Interval(lo, hi, k > 0, k < self.last),))
@@ -380,7 +334,7 @@ class GridCover(Cover):
 
     def restricted_to(self, piece: Interval) -> "Cover":
         if piece.closure() == self.ambient:
-            return self if self.target == self.union else GridCover(self.n, self.ambient)
+            return self
         return super().restricted_to(piece)
 
     def refinement_witnesses(

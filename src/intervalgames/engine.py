@@ -281,10 +281,9 @@ def validate_cover(
     Members must be nonempty and relatively open in the ambient, and
     their union must contain the target.  A `GridCover` of this very
     ambient meets the first two by construction, and a proposed `Cover`
-    brings its union, so neither is computed again.  The result is a
-    `Cover` whose own target is the exact set-inclusion part of the
-    requirement; a proposed `Cover` that already has that target is
-    returned as is, and a `GridCover` stays a grid.
+    brings its union, so neither is computed again.  A proposed `Cover`
+    is returned as it was proposed; raw members become a `Cover` whose
+    own target is the exact set-inclusion part of the requirement.
     """
     if not isinstance(proposed, Cover):
         proposed = tuple(proposed)
@@ -303,14 +302,9 @@ def validate_cover(
     witness = target.uncovered(union, ambient)
     if witness is not None:
         raise IllegalMove("one", "IncompleteCover", witness)
-    box = target.inclusion_part(ambient)
-    if not isinstance(proposed, Cover):
-        return Cover(box, proposed)
-    if proposed.target == box:
+    if isinstance(proposed, Cover):
         return proposed
-    if isinstance(proposed, GridCover):
-        return GridCover(proposed.n, proposed.ambient, box)
-    return Cover(box, proposed.members)
+    return Cover(target.inclusion_part(ambient), proposed)
 
 
 def referee_step(

@@ -442,7 +442,7 @@ class HalvingOmegaPlusOneTwo(HalvingTwo):
     revealed, request extension innings until every residual cell is
     shorter than its Lebesgue number, then fatten the cells away.  The
     number is taken on the whole ambient, where the residual cells lie,
-    whatever part of the target the cover was validated against."""
+    whatever target the validated cover carries."""
 
     def at_limit(self, cover: Cover):
         cover = cover.restricted_to(self.ambient)
@@ -484,8 +484,9 @@ class ChainPunctureTwo(TwoBot):
 
     def respond(self, inning: int, cover: Cover) -> list[RSet]:
         if self.punctures is None:
-            # the validated cover's own target is empty for point-set
-            # targets, so the chain is built on the ambient
+            # a cover validated from raw members carries only the
+            # inclusion part of the target, empty for point-set targets,
+            # so the chain is built on the ambient
             family, self.punctures = chain_puncture_refinement(
                 cover.restricted_to(self.ambient)
             )

@@ -168,6 +168,11 @@ def test_unknown_config_key_exits_64(tmp_path, capsys):
         ("check", "--suite", "nope"),
         ("analyze", "escape", "--two", "halving", "--witness", "5"),
         ("analyze", "core", "--two", "halving", "--depth", "0"),
+        ("analyze", "core", "--two", "halving", "--tau", "0"),
+        ("analyze", "core", "--two", "halving", "--tau", "2,-1"),
+        ("analyze", "escape", "--two", "halving", "--k", "0"),
+        ("analyze", "escape", "--two", "halving", "--search", "0"),
+        ("check", "--cases", "-1"),
     ],
 )
 def test_malformed_check_and_analyze_input_exits_64(argv):

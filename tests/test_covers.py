@@ -24,9 +24,9 @@ from intervalgames.covers import (
     verify_lebesgue,
     window_supremum,
 )
-from intervalgames.sets import Interval, RSet, closed, parse_rset, union_all
+from intervalgames.sets import Interval, RSet, closed, normalize, parse_rset, union_all
 
-from conftest import random_cover, random_target, refuse_grid_members
+from conftest import random_cover, random_target
 
 
 def rs(text: str) -> RSet:
@@ -94,12 +94,51 @@ def brute_window_supremum(cover: Cover) -> F:
     return min(c for c in cands if c > q)
 
 
+def mixed_cover(rng: random.Random, target: Interval) -> Cover:
+    """Random cover of a closed interval whose members have 1-3
+    components: open or closed ends, isolated points, parts past the
+    target.  What they miss of the target becomes one more member, as it
+    is or widened to an open neighbourhood of each missed piece."""
+    a, b = target.lo, target.hi
+    unit = (b - a) / 16
+
+    def component() -> Interval:
+        x = a + unit * rng.randint(-4, 20)
+        if rng.random() < 0.15:
+            return Interval(x, x, False, False)
+        y = x + unit * rng.randint(1, 12)
+        return Interval(x, y, rng.random() < 0.5, rng.random() < 0.5)
+
+    members = [
+        normalize(component() for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    box = RSet((target,))
+    missing = box.subtract(union_all(members))
+    if not missing.is_empty:
+        if rng.random() < 0.5:
+            members.append(missing)
+        else:
+            members.append(
+                normalize(Interval(c.lo - unit, c.hi + unit) for c in missing.components)
+            )
+    rng.shuffle(members)
+    return Cover(box, tuple(members))
+
+
 # --- worked examples ---------------------------------------------------------
 
 
 def test_window_supremum_worked_example():
     assert window_supremum(EXAMPLE) == F(1, 4)
     assert lebesgue_number(EXAMPLE) == F(1, 8)
+
+
+def test_windows_left_of_a_closed_start_inside_the_target_count():
+    # windows [x, x+d] with x just left of 1/4 fit only in (-1,3/8)
+    c = cover_of("[0,1]", "(-1,3/8)", "[1/4,2)")
+    assert window_supremum(c) == F(1, 8) == brute_window_supremum(c)
+    assert verify_lebesgue(c, lebesgue_number(c))
 
 
 def test_lebesgue_single_member_capped_by_target_length():
@@ -154,6 +193,18 @@ def test_window_supremum_matches_oracles_on_seeded_covers():
         assert sup == brute_window_supremum(cover)
         assert verify_lebesgue(cover, sup / 2)
         assert brute_verify(cover, sup / 2)
+    rng = random.Random(1106)
+    for _ in range(240):
+        cover = mixed_cover(rng, random_target(rng))
+        try:
+            sup = window_supremum(cover)
+        except CoverError:
+            with pytest.raises(AssertionError, match="no valid window length"):
+                brute_window_supremum(cover)
+            continue
+        assert sup == brute_window_supremum(cover), cover
+        assert verify_lebesgue(cover, sup / 2)
+        assert brute_verify(cover, sup / 2)
 
 
 def test_verify_matches_brute_scan_on_seeded_pairs():
@@ -163,6 +214,19 @@ def test_verify_matches_brute_scan_on_seeded_pairs():
         sup = window_supremum(cover)
         for delta in (sup / 3, sup / 2, sup, sup * 2):
             assert verify_lebesgue(cover, delta) == brute_verify(cover, delta)
+    rng = random.Random(2219)
+    for _ in range(160):
+        cover = mixed_cover(rng, random_target(rng))
+        length = cover.target.measure()
+        try:
+            sup = window_supremum(cover)
+        except CoverError:
+            sup = None
+        deltas = (length / 16, length / 3) if sup is None else (sup / 3, sup / 2, sup, sup * 2)
+        for delta in deltas:
+            assert verify_lebesgue(cover, delta) == brute_verify(cover, delta), cover
+        if sup is not None:
+            assert verify_lebesgue(cover, sup / 2)
 
 
 # --- grid covers -------------------------------------------------------------
@@ -285,49 +349,6 @@ def test_grid_member_texts_are_the_members_printed(ambient):
         grid = GridCover(n, amb)
         assert grid.member_texts() == [str(m) for m in grid.members], n
     assert EXAMPLE.member_texts() == ["(-1/8,1/2)", "(1/4,9/8)"]
-
-
-@pytest.mark.parametrize("box", ["[0,1]", "[0,1/4];[1/2,1]", ""], ids=["ambient", "two-parts", "empty"])
-def test_grid_with_an_inclusion_target_answers_like_a_generic_cover(box, monkeypatch):
-    """A grid carrying part of its ambient as target, as `validate_cover`
-    returns it for a target that is not the whole ambient, answers every
-    query like a generic cover of its members on that target."""
-    amb = closed(0, 1)
-    target = rs(box)
-    for n in range(1, 5):
-        grid = GridCover(n, amb, target)
-        ref = Cover(target, GridCover(n, amb).members)
-        h = grid.step
-        points = [j * h / 2 for j in range(-2, 2 * grid.last + 3)]
-        windows = [(x, x) for x in points] + list(zip(points, points[1:]))
-        windows += list(zip(points, points[3:])) + [(F(-1), F(2)), (h / 3, 1 - h / 3)]
-        with monkeypatch.context() as m:
-            refuse_grid_members(m)
-            answers = [
-                (grid.members_touching(lo, hi), grid.holding(lo, hi)) for lo, hi in windows
-            ]
-            contain = [grid.members_containing_point(x) for x in points]
-            family = [RSet.interval(p, q) for p, q in zip(points, points[2:])]
-            witnesses = grid.refinement_witnesses(family)
-            whole = grid.restricted_to(amb)
-            assert whole == GridCover(n, amb)
-            assert hash(whole) == hash(GridCover(n, amb))
-            assert (grid == GridCover(n, amb)) == (box == "[0,1]")
-            assert grid == GridCover(n, amb, rs(box))
-            assert hash(grid) == hash(GridCover(n, amb, rs(box)))
-            assert window_supremum(whole) == h
-        assert answers == [(ref.members_touching(lo, hi), ref.holding(lo, hi)) for lo, hi in windows]
-        assert contain == [ref.members_containing_point(x) for x in points]
-        assert witnesses == ref.refinement_witnesses(family)
-        assert window_supremum(whole) == window_supremum(ref.restricted_to(amb))
-        for lo, hi in windows:
-            if 0 <= lo <= hi <= 1:
-                piece = Interval(lo, hi, False, False)
-                mine, theirs = grid.restricted_to(piece), ref.restricted_to(piece)
-                assert (mine.target, mine.members) == (theirs.target, theirs.members)
-        if box != "[0,1]":
-            with pytest.raises(CoverError):
-                window_supremum(grid)
 
 
 # --- restricted sub-covers ---------------------------------------------------

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intervalgames.cantor import CantorSpec
 from intervalgames import covers, engine, sets
@@ -22,7 +23,7 @@ from intervalgames.engine import (
     validate_cover,
 )
 from intervalgames.ordinals import InningSchedule, parse_ordinal
-from intervalgames.sets import RSet, closed, parse_rset, union_all
+from intervalgames.sets import Interval, RSet, closed, normalize, parse_rset, union_all
 from intervalgames.two_strategies import chain_puncture_refinement
 
 from conftest import refuse_grid_members
@@ -106,6 +107,123 @@ def test_referee_rejections_revalidate():
     assert family[j].closure().contains(shared)
 
 
+# --- referee against definition-level oracles ---------------------------------
+
+BOX = RSet((AMBIENT,))
+SIXTEENTHS = st.sampled_from([F(k, 16) for k in range(-2, 19)])
+
+
+def _holds(c: Interval, x: F) -> bool:
+    return (c.lo < x or (c.lo == x and not c.lo_open)) and (
+        x < c.hi or (x == c.hi and not c.hi_open)
+    )
+
+
+def _within(c: Interval, d: Interval) -> bool:
+    """The interval c lies inside the interval d, from endpoints alone."""
+    left = d.lo < c.lo or (d.lo == c.lo and (c.lo_open or not d.lo_open))
+    right = c.hi < d.hi or (c.hi == d.hi and (c.hi_open or not d.hi_open))
+    return left and right
+
+
+def _sets_meet(m: RSet, n: RSet) -> bool:
+    for c in m.components:
+        for d in n.components:
+            lo, hi = max(c.lo, d.lo), min(c.hi, d.hi)
+            if lo < hi or (lo == hi and _holds(c, lo) and _holds(d, lo)):
+                return True
+    return False
+
+
+def _closures_meet(m: RSet, n: RSet) -> bool:
+    return any(
+        max(c.lo, d.lo) <= min(c.hi, d.hi) for c in m.components for d in n.components
+    )
+
+
+def _in_closure(m: RSet, x: F) -> bool:
+    return any(c.lo <= x <= c.hi for c in m.components)
+
+
+@st.composite
+def open_sets(draw, pieces: int) -> RSet:
+    """A relatively open subset of the ambient: up to `pieces` open
+    intervals with sixteenth endpoints, cut to [0, 1]."""
+    ivs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=pieces))):
+        x, y = sorted(draw(st.lists(SIXTEENTHS, min_size=2, max_size=2, unique=True)))
+        ivs.append(Interval(x, y, True, True))
+    return normalize(ivs).intersect(BOX)
+
+
+@st.composite
+def covers_and_families(draw):
+    """A cover of [0, 1] by members of several components, and a family
+    of shrunk cover components, whole components, pieces touching an
+    earlier piece at an endpoint, and free open sets."""
+    members = [m for m in draw(st.lists(open_sets(3), min_size=1, max_size=4)) if not m.is_empty]
+    missing = BOX.subtract(union_all(members))
+    if not missing.is_empty:
+        widened = (Interval(c.lo - F(1, 16), c.hi + F(1, 16), True, True) for c in missing.components)
+        members.append(normalize(widened).intersect(BOX))
+    cover = Cover(BOX, tuple(members))
+    comps = [c for m in members for c in m.components]
+    family, pieces = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        parts = []
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            kind = draw(st.sampled_from(("shrunk", "whole", "touching", "free")))
+            if kind == "free" or (kind == "touching" and not pieces):
+                parts.extend(draw(open_sets(1)).components)
+                continue
+            if kind == "touching":
+                e = draw(st.sampled_from([e for p in pieces for e in (p.lo, p.hi)]))
+                d = F(1, draw(st.sampled_from((8, 16, 32))))
+                lo, hi = draw(st.sampled_from(((e - d, e), (e, e + d), (e - d, e + d))))
+                parts.extend(RSet((Interval(lo, hi, True, True),)).intersect(BOX).components)
+                continue
+            c = draw(st.sampled_from(comps))
+            if kind == "shrunk":
+                q = c.length / draw(st.sampled_from((3, 4, 8)))
+                c = Interval(c.lo + q, c.hi - q, True, True)
+            parts.append(c)
+        member = normalize(parts)
+        if not member.is_empty:
+            family.append(member)
+            pieces.extend(member.components)
+    return cover, family
+
+
+@settings(max_examples=300, deadline=None)
+@given(covers_and_families(), st.sampled_from(("discrete", "disjoint")))
+def test_referee_step_matches_definition_level_oracles(case, ruleset):
+    cover, family = case
+    refines = [
+        any(all(any(_within(c, d) for d in m.components) for c in f.components) for m in cover.members)
+        for f in family
+    ]
+    meet, holds = (_closures_meet, _in_closure) if ruleset == "discrete" else (
+        _sets_meet, lambda m, x: any(_holds(c, x) for c in m.components)
+    )
+    clash = any(meet(f, g) for i, f in enumerate(family) for g in family[i + 1:])
+    try:
+        checked = referee_step(ruleset, cover, family, AMBIENT)
+    except IllegalMove as exc:
+        if exc.kind == "IllegalRefinement":
+            bad = exc.detail["member"]
+            assert all(refines[:bad]) and not refines[bad]
+            assert exc.detail["set"] == str(family[bad])
+            return
+        assert exc.kind == ("NotDiscrete" if ruleset == "discrete" else "NotDisjoint")
+        assert all(refines) and clash
+        i, j = exc.detail["members"]
+        x = F(exc.detail["shared_point"])
+        assert i != j and holds(family[i], x) and holds(family[j], x)
+        return
+    assert all(refines) and not clash
+    assert list(checked.members) == family
+
+
 def test_validate_cover_requires_coverage_and_openness():
     with pytest.raises(IllegalMove) as err:
         validate_cover([rs("(0,1)")], TargetSpec.full(), AMBIENT)
@@ -124,10 +242,8 @@ def test_validate_cover_checks_a_proposed_cover_object():
     assert err.value.kind == "NotOpen"
     proposed = Cover(rs("[0,1]"), (rs("[0,1/2);(1/4,1]"),))
     assert validate_cover(proposed, TargetSpec.full(), AMBIENT) is proposed
-    # a proposed cover with another target is rebuilt on the referee's target
-    rebuilt = validate_cover(proposed, TargetSpec.gdelta("rationals"), AMBIENT)
-    assert rebuilt.target == RSet.empty()
-    assert rebuilt.members == proposed.members
+    # a proposed cover comes back as proposed on any target it covers
+    assert validate_cover(proposed, TargetSpec.gdelta("rationals"), AMBIENT) is proposed
 
 
 def test_validate_cover_for_countable_and_gdelta_targets():
@@ -185,7 +301,7 @@ def test_grid_cover_of_another_ambient_gets_the_generic_checks(
     for proposed in (grid, list(grid.members)):
         try:
             cover = validate_cover(proposed, target, game_ambient)
-            outcomes.append((None, cover.target, cover.members))
+            outcomes.append((None, cover.members))
         except IllegalMove as exc:
             outcomes.append((exc.kind, exc.detail))
     assert outcomes[0] == outcomes[1]
@@ -351,11 +467,13 @@ def test_grid_limit_match_builds_no_grid_member(target, monkeypatch):
 def test_grid_validated_on_part_of_its_ambient_stays_a_grid(monkeypatch):
     refuse_grid_members(monkeypatch)
     grid = ball_cover(3)
-    box = rs("[0,1/4];[1/2,1]")
-    cover = validate_cover(grid, TargetSpec.closed(box), AMBIENT)
-    assert cover == covers.GridCover(3, AMBIENT, box)
-    assert validate_cover(grid, TargetSpec.cantor(), AMBIENT).target == RSet.empty()
-    assert validate_cover(grid, TargetSpec.full(), AMBIENT) is grid
+    for target in ("closed:[0,1/4];[1/2,1]", "cantor", "full"):
+        assert validate_cover(grid, TargetSpec.parse(target), AMBIENT) is grid
+    assert grid.restricted_to(AMBIENT) is grid
+    assert grid == covers.GridCover(3, AMBIENT)
+    assert hash(grid) == hash(covers.GridCover(3, AMBIENT))
+    assert grid != covers.GridCover(4, AMBIENT)
+    assert grid != covers.GridCover(3, closed(0, F(1, 2)))
 
 
 def test_omega_truncated_main_compact_certifies():
@@ -388,8 +506,8 @@ def test_discrete_rules_forfeit_chain_puncture():
     "target", ["cantor", "countable:triadic", "gdelta:rationals", "gdelta:triadic"]
 )
 def test_chain_puncture_plays_point_set_targets(target):
-    """The validated cover's own target is empty for these targets; the
-    chain is built on the ambient instead."""
+    """Raw members validated on these targets carry an empty target; the
+    chain is built on the ambient, whatever target the cover carries."""
     won = play(config("disjoint", "2", "grid", "chain-puncture", TargetSpec.parse(target)))
     assert won.verdict.outcome == "two-wins-covered"
     lost = play(config("discrete", "2", "grid", "chain-puncture", TargetSpec.parse(target)))
