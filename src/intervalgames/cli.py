@@ -116,7 +116,10 @@ def cmd_play(args) -> int:
     config = _game_config(args)
     transcript = play(config)
     out_path = Path(args.json) if args.json else _out_dir() / "transcript.jsonl"
-    transcript.write_jsonl(out_path)
+    try:
+        transcript.write_jsonl(out_path)
+    except OSError as exc:
+        raise InputError(f"cannot write transcript {str(out_path)!r}: {exc.strerror or exc}") from None
     print(f"game: {config.describe()}")
     print(f"verdict: {transcript.verdict.outcome}")
     cert = transcript.verdict.certificate

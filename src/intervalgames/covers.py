@@ -1,11 +1,13 @@
 """Covers of compact intervals and exact Lebesgue window lengths.
 
 A `Cover` pairs a closed target RSet with the open member sets that
-jointly contain it.  For single-interval targets the module computes the
-exact supremum of window lengths d such that every closed window
-[x, x+d] inside the target fits in a single member, verifies candidate
-window lengths with an explicit counterexample window on failure, and
-builds the overlapping dyadic grid covers used by oblivious players.
+jointly contain it.  For a closed interval inside the members' union
+(by default a single-interval target) the module computes the exact
+supremum of window lengths d such that every closed window [x, x+d]
+inside it fits in a single member.  It verifies candidate window
+lengths on the target with an explicit counterexample window on
+failure, and builds the overlapping dyadic grid covers used by
+oblivious players.
 """
 
 from __future__ import annotations
@@ -84,25 +86,6 @@ class Cover:
                     return c
         return None
 
-    def restricted_to(self, piece: Interval) -> "Cover":
-        """Sub-cover of the closed piece [lo, hi] of the target, keeping
-        only the members whose closure meets it.  Member sets are not
-        clipped.
-
-        When the piece lies inside this cover's proven union, the
-        sub-cover needs no proof of its own: each point of the piece lies
-        in some member, and that member's closure meets the piece, so the
-        kept members cover it.  Otherwise the sub-cover goes through the
-        checking constructor, which raises `CoverError` for the part of
-        the piece no member covers.
-        """
-        target = RSet((piece.closure(),))
-        idxs = self.members_touching(piece.lo, piece.hi)
-        members = tuple(self.member(i) for i in idxs)
-        if target.is_subset(self.union):
-            return _SubCover(target, members)
-        return Cover(target, members)
-
     def refinement_witnesses(
         self, family: Sequence[RSet]
     ) -> tuple[bool, list[Optional[int]]]:
@@ -131,57 +114,49 @@ def _point_index(members: Sequence[RSet]) -> tuple:
     return comps, tuple(c.lo for c, _ in comps), tuple(max_hi_prefix)
 
 
-class _SubCover(Cover):
-    """A restriction of a cover to a piece of its proven union.
-
-    Coverage follows from the parent's proof (`Cover.restricted_to`), so
-    nothing is re-proved; the union is formed only if someone asks.
-    """
-
-    def __init__(self, target: RSet, members: tuple[RSet, ...]):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_index", _point_index(members))
-
-    @cached_property
-    def union(self) -> RSet:
-        return union_all(self.members)
-
-
-def _target_interval(cover: Cover) -> Interval:
-    comps = cover.target.components
+def _target_interval(cover: Cover, part: Optional[Interval] = None) -> Interval:
+    """The closed interval [a, b] a query asks about: `part`, by default
+    the cover's target.  It must lie inside the cover's proven union, so
+    the members touching it cover it."""
+    target = cover.target if part is None else RSet((part,))
+    comps = target.components
     if len(comps) != 1 or comps[0].lo_open or comps[0].hi_open:
         raise CoverError("target must be a single closed interval")
     t = comps[0]
     if t.length <= 0:
         raise CoverError("target must have positive length")
+    if not target.is_subset(cover.union):
+        missing = target.subtract(cover.union)
+        raise CoverError(f"members do not cover the target; uncovered part: {missing}")
     return t
 
 
-def window_supremum(cover: Cover) -> Fraction:
+def window_supremum(cover: Cover, part: Optional[Interval] = None) -> Fraction:
     """Exact supremum d* of window lengths d in (0, L] such that every
-    closed window [x, x+d] inside the target [a, b] lies in one member.
+    closed window [x, x+d] inside [a, b] lies in one member.
 
+    [a, b] is `part`, by default the cover's target; it must lie inside
+    the cover's union, and only the members touching it are read.
     Lengths strictly below d* are always admissible; d* itself may or
     may not be.  d* is the least gap between a window start and the
-    furthest reach of the components serving it, capped by the target
-    length and by the components that hold windows ending at b.  The gap
+    furthest reach of the components serving it, capped by b - a and
+    by the components that hold windows ending at b.  The gap
     only shrinks between consecutive first starts of components, so one
     sweep checks the start a and the left limit of each later first
     start, and stops once a component reaching through b serves.
-    A grid cover has supremum its step h: a window starting at a grid
-    point jh fits only in member j, which ends at (j+1)h, and every
-    window shorter than h fits in member j or j+1.
+    On its ambient a grid cover has supremum its step h: a window
+    starting at a grid point jh fits only in member j, which ends at
+    (j+1)h, and every window shorter than h fits in member j or j+1.
     """
-    if isinstance(cover, GridCover):
+    t = _target_interval(cover, part)
+    if isinstance(cover, GridCover) and t == cover.ambient:
         return cover.step
-    t = _target_interval(cover)
     a, b = t.lo, t.hi
     # components of positive length meeting [a, b], each keyed by the
     # first window start it serves; point components serve no window
     reaches, ends = [], []
-    for m in cover.members:
-        for c in m.components:
+    for i in cover.members_touching(a, b):
+        for c in cover.member(i).components:
             if c.hi < a or c.lo > b or c.hi <= c.lo:
                 continue
             key = (max(c.lo, a), 1 if c.lo >= a and c.lo_open else 0)
@@ -211,14 +186,15 @@ def window_supremum(cover: Cover) -> Fraction:
     return best
 
 
-def lebesgue_number(cover: Cover) -> Fraction:
-    """A verified Lebesgue number: half the exact window supremum.
+def lebesgue_number(cover: Cover, part: Optional[Interval] = None) -> Fraction:
+    """A verified Lebesgue number on `part` (by default the target): half
+    the exact window supremum.
 
     The supremum itself can fail (the admissible set is open on the
     right), so half of it is returned; verify_lebesgue always accepts
     the result.
     """
-    return window_supremum(cover) / 2
+    return window_supremum(cover, part) / 2
 
 
 def lebesgue_counterexample(cover: Cover, delta) -> Optional[Interval]:
@@ -264,8 +240,8 @@ class GridCover(Cover):
 
     Queries, equality and the transcript's `member_texts` are answered in
     closed form from n and the ambient.  The member tuple is
-    built on first use of `members`, once per instance; its only callers
-    left in a match are `GreedyTwo` and `chain_subcover`.
+    built on first use of `members`, once per instance; `GreedyTwo` is
+    its only consumer left in a match.
     """
 
     def __init__(self, n: int, ambient: Interval):
@@ -332,11 +308,6 @@ class GridCover(Cover):
         j = floor(t)
         return [j] if t == j else [j, j + 1]
 
-    def restricted_to(self, piece: Interval) -> "Cover":
-        if piece.closure() == self.ambient:
-            return self
-        return super().restricted_to(piece)
-
     def refinement_witnesses(
         self, family: Sequence[RSet]
     ) -> tuple[bool, list[Optional[int]]]:
@@ -385,11 +356,13 @@ def ball_cover(n: int, ambient: Interval | None = None) -> GridCover:
     return GridCover(n, ambient)
 
 
-def chain_subcover(cover: Cover) -> list[int]:
-    """A minimal left-to-right chain of member indices covering the target.
+def chain_subcover(cover: Cover, part: Optional[Interval] = None) -> list[int]:
+    """A minimal left-to-right chain of member indices covering [a, b]:
+    `part`, by default the cover's target, inside the cover's union.
 
-    Members whose trace on the target [a, b] is empty are skipped; every
-    other trace must be a single interval, relatively open in [a, b].
+    Only members touching [a, b] are read, and those whose trace on it
+    is empty are skipped; every other trace must be a single interval,
+    relatively open in [a, b].
     One sweep over the traces sorted by left end takes, at each point
     not yet covered, the furthest-reaching trace containing it (the
     first member wins ties).  Relative openness makes the greedy chain
@@ -397,14 +370,14 @@ def chain_subcover(cover: Cover) -> list[int]:
     so consecutive links overlap, non-consecutive links are disjoint,
     and each link alone holds the point it was chosen for.
     """
-    t = _target_interval(cover)
+    t = _target_interval(cover, part)
     a, b = t.lo, t.hi
     box = RSet((t,))
     # each trace as (start, reach): start (lo, lo_open) sorts closed left
     # ends first; reach (hi, closed hi, -index) is larger the further it goes
     traces = []
-    for i, m in enumerate(cover.members):
-        comps = m.intersect(box).components
+    for i in cover.members_touching(a, b):
+        comps = cover.member(i).intersect(box).components
         if not comps:
             continue
         if len(comps) > 1:

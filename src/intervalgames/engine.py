@@ -194,6 +194,8 @@ class GameConfig:
         amb = self.ambient
         if amb.lo_open or amb.hi_open or amb.length <= 0:
             raise ConfigError("ambient must be a closed interval of positive length")
+        if self.target.kind == "closed" and not self.target.rset.is_subset(RSet((amb,))):
+            raise ConfigError(f"closed target {self.target.rset} must lie inside the ambient {amb}")
 
     def describe(self) -> str:
         return (

@@ -47,28 +47,29 @@ def smallest_even_grid(length: Fraction, sup: Fraction) -> int:
 
 
 def halving_refinement(
-    cover: Cover, ambient: Optional[Interval] = None
+    cover: Cover, piece: Optional[Interval] = None, ambient: Optional[Interval] = None
 ) -> tuple[DiscreteFamily, list[Interval]]:
-    """Refine a cover of a closed interval, covering exactly half of it.
+    """Refine a cover on a closed interval, covering exactly half of it.
 
-    Cuts [a, b] into the smallest even number M of equal cells shorter
-    than the cover's exact window supremum, keeps the odd-indexed open
+    Cuts [a, b] (`piece`, by default the cover's target) into the
+    smallest even number M of equal cells shorter than the cover's exact
+    window supremum on [a, b], keeps the odd-indexed open
     cells as a discrete family, and returns the even-indexed closed
     cells as the residual: their lengths add up to exactly (b-a)/2.
     Every cell is shorter than the window supremum, so each closed cell
     fits inside a single cover member; this is asserted per cell.
 
     The right endpoint b belongs to the last (odd) cell.  When b is the
-    right end of the `ambient` interval (by default the target itself)
-    that cell is taken relatively open, (g, b]; otherwise (g, b] would
+    right end of the `ambient` interval (by default [a, b] itself) that
+    cell is taken relatively open, (g, b]; otherwise (g, b] would
     not be open in the ambient, so the cell stays (g, b) and the point
     b joins the residual as a degenerate closed piece, to be absorbed
     by a later fattening move.
     """
-    t = _target_interval(cover)
+    t = _target_interval(cover, piece)
     if ambient is None:
         ambient = t
-    sup = window_supremum(cover)
+    sup = window_supremum(cover, t)
     m = smallest_even_grid(t.length, sup)
     step = t.length / m
     grid = [t.lo + i * step for i in range(m + 1)]
@@ -130,8 +131,7 @@ def halving_step(
         if piece.is_point:
             new_residual.append(piece)
             continue
-        sub = cover.restricted_to(piece)
-        fam, res = halving_refinement(sub, ambient)
+        fam, res = halving_refinement(cover, piece, ambient)
         members.extend(fam.members)
         new_residual.extend(res)
     family = is_discrete(members)
@@ -163,11 +163,12 @@ def limit_fattening(
     open interval inside a single member of the limit cover.
 
     Requires every residual cell to be shorter than the limit cover's
-    verified Lebesgue number (the extension protocol guarantees this).
+    verified Lebesgue number on the ambient (the extension protocol
+    guarantees this).
     Together with the earlier halving families the play then covers the
     whole ambient interval.
     """
-    delta = lebesgue_number(cover)
+    delta = lebesgue_number(cover, ambient)
     for piece in state.residual:
         if piece.length >= delta:
             raise ValueError("residual cells still too long for the limit move")
@@ -188,17 +189,17 @@ def cantor_fattening_level(cover: Cover, spec: CantorSpec) -> int:
     """Depth at which fattened construction pieces fit single members.
 
     When the members cover the whole ambient interval: the minimal n
-    with (5/3) * 3^-n * len(ambient) below the cover's Lebesgue number.
+    with (5/3) * 3^-n * len(ambient) below the cover's Lebesgue number
+    on the ambient.
     Otherwise (members only cover the construction) the minimal n at
     which every fattened piece actually fits, found by direct search.
     """
     length = spec.ambient.length
     try:
-        ambient_cover = cover.restricted_to(spec.ambient)
+        delta = lebesgue_number(cover, spec.ambient)
     except CoverError:
-        ambient_cover = None
-    if ambient_cover is not None:
-        delta = lebesgue_number(ambient_cover)
+        pass  # the members do not cover the ambient
+    else:
         n = 0
         while Fraction(5, 3) * length / 3**n >= delta:
             n += 1
@@ -274,19 +275,22 @@ def countable_target_move(
     return is_discrete([shrink_around(q, comp, spec.ambient)])
 
 
-def chain_puncture_refinement(cover: Cover) -> tuple[list[RSet], list[Fraction]]:
-    """Disjoint (not discrete) family covering all but finitely many points.
+def chain_puncture_refinement(
+    cover: Cover, part: Optional[Interval] = None
+) -> tuple[list[RSet], list[Fraction]]:
+    """Disjoint (not discrete) family covering all but finitely many points
+    of [a, b]: `part`, by default the cover's target.
 
-    From a left-to-right chain of the cover, split the target at the
+    From a left-to-right chain of the cover on [a, b], split [a, b] at the
     midpoints of consecutive overlaps.  Members are pairwise disjoint
     and each lies inside a chain member, but adjacent closures share the
     puncture points, so the family is a legal disjoint-ruleset move and
     an illegal discrete-ruleset move whenever the chain has >= 2 links.
     """
-    t = _target_interval(cover)
+    t = _target_interval(cover, part)
     a, b = t.lo, t.hi
     box = RSet((t,))
-    chain = chain_subcover(cover)
+    chain = chain_subcover(cover, t)
     clipped = [cover.member(i).intersect(box).components[0] for i in chain]
     # consecutive links overlap in exactly the open interval (nxt.lo, cur.hi)
     punctures = [(nxt.lo + cur.hi) / 2 for cur, nxt in zip(clipped, clipped[1:])]
@@ -441,12 +445,11 @@ class HalvingOmegaPlusOneTwo(HalvingTwo):
     """Halving with the limit-stage finisher: once the limit cover is
     revealed, request extension innings until every residual cell is
     shorter than its Lebesgue number, then fatten the cells away.  The
-    number is taken on the whole ambient, where the residual cells lie,
-    whatever target the validated cover carries."""
+    cover is asked for the number on the whole ambient, where the
+    residual cells lie, whatever target it carries."""
 
     def at_limit(self, cover: Cover):
-        cover = cover.restricted_to(self.ambient)
-        delta = lebesgue_number(cover)
+        delta = lebesgue_number(cover, self.ambient)
         if any(p.length >= delta for p in self.state.residual):
             return "extend"
         return list(limit_fattening(self.state, cover, self.ambient).members)
@@ -476,7 +479,11 @@ class CountableTargetTwo(TwoBot):
 
 
 class ChainPunctureTwo(TwoBot):
-    """Two-inning disjoint-ruleset winner: puncture, then clean up."""
+    """Two-inning disjoint-ruleset winner: puncture, then clean up.
+
+    The chain is asked for on the whole ambient, whatever target the
+    cover carries: a cover validated from raw members carries only the
+    inclusion part of the target, empty for point-set targets."""
 
     def __init__(self, ambient: Interval):
         super().__init__(ambient)
@@ -484,12 +491,7 @@ class ChainPunctureTwo(TwoBot):
 
     def respond(self, inning: int, cover: Cover) -> list[RSet]:
         if self.punctures is None:
-            # a cover validated from raw members carries only the
-            # inclusion part of the target, empty for point-set targets,
-            # so the chain is built on the ambient
-            family, self.punctures = chain_puncture_refinement(
-                cover.restricted_to(self.ambient)
-            )
+            family, self.punctures = chain_puncture_refinement(cover, self.ambient)
             return family
         if self.punctures:
             punctures, self.punctures = self.punctures, []

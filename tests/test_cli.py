@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from intervalgames.cli import main
+from intervalgames.cli import DEMOS, main
 
 
 def run_cli(*argv, stdin_text=None, monkeypatch=None):
@@ -138,12 +138,21 @@ def test_usage_errors_exit_64(capsys):
         ("--innings", "0"),
         ("--innings", "abc"),
         ("--length", "w*w"),
+        ("--target", "closed:[2,3]"),  # outside the ambient [0,1]
+        ("--target", "closed:[0,1/4];[1/2,2]"),
     ],
 )
 def test_malformed_play_input_exits_64(flag, value, tmp_path, capsys):
     assert run_cli("play", flag, value, "--json", str(tmp_path / "t.jsonl")) == 64
     assert capsys.readouterr().err.startswith("usage error: ")
     assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_unwritable_transcript_path_exits_64(tmp_path):
+    proc = run_module("play", "--length", "2", "--json", str(tmp_path / "missing" / "t.jsonl"))
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_missing_config_file_exits_64(tmp_path):
@@ -180,6 +189,26 @@ def test_malformed_check_and_analyze_input_exits_64(argv):
     assert proc.returncode == 64
     assert proc.stderr.startswith("usage error: ") and "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+# exit code and stdout SHA-256 of every demo
+DEMO_OUTPUTS = {
+    "one-main": (0, "7f108139cb6fb5de3fcdf5c3ca87f505acf7e71c808904569c8ad61188909293"),
+    "omega-plus-one": (0, "b62af958db3170a51bc7692f95ad20d6a920b071f20839f1ed4ac862af742e6f"),
+    "cantor": (0, "2e083dab5b95231ee1d76cd753b8a4c958cbe01af4e026c21556462a0b695d18"),
+    "rationals": (0, "e086d456b00b89d363c659e2d9a4dd984a939d2001f21c3a174384010f750784"),
+    "gdelta": (0, "b33e5b8a1885747627546a7edb7368506b44cbe46a59252c293d6f617407aeb3"),
+    "alpha-minus": (0, "18bd66348bc92a04aadfce6d572752ef0a20d88c14b82b9f75ff23cc8d3e9736"),
+    "inequivalence": (0, "963df2a9b9e9a15e80fcac9541fee7b0182aed4277bc0418b632708d8095a419"),
+}
+
+
+def test_demo_outputs_are_pinned(capsys):
+    assert set(DEMO_OUTPUTS) == set(DEMOS)
+    for name, pinned in DEMO_OUTPUTS.items():
+        code = run_cli("demo", name)
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned, name
 
 
 @pytest.mark.parametrize("name", ["alpha-minus", "cantor", "rationals"])

@@ -325,10 +325,9 @@ def test_grid_cover_answers_match_a_generic_cover(ambient):
             assert grid.holding(lo, hi) == ref.holding(lo, hi), (n, lo, hi)
             if n <= 3:
                 assert ref.holding(lo, hi) == holding_by_scan(ref, lo, hi), (n, lo, hi)
-            if a <= lo <= hi <= b:
+            if a <= lo < hi <= b:
                 piece = Interval(lo, hi, False, False)
-                mine, theirs = grid.restricted_to(piece), ref.restricted_to(piece)
-                assert (mine.target, mine.members) == (theirs.target, theirs.members)
+                assert window_supremum(grid, piece) == window_supremum(ref, piece), (n, lo, hi)
 
         assert window_supremum(grid) == window_supremum(ref) == h
         assert lebesgue_number(grid) == lebesgue_number(ref)
@@ -351,12 +350,12 @@ def test_grid_member_texts_are_the_members_printed(ambient):
     assert EXAMPLE.member_texts() == ["(-1/8,1/2)", "(1/4,9/8)"]
 
 
-# --- restricted sub-covers ---------------------------------------------------
+# --- window queries on part of a cover ----------------------------------------
 
 
-def test_restricted_to_inside_the_union_proves_nothing_again(monkeypatch):
-    """A piece of the parent's proven union gets its sub-cover without a
-    union of the members or a subtraction from the target."""
+def test_window_queries_inside_the_union_prove_nothing_again(monkeypatch):
+    """A window query on a piece of the parent's proven union forms no
+    union of the members, subtracts nothing and builds no cover."""
     calls = []
     subtract = RSet.subtract
     monkeypatch.setattr(
@@ -365,49 +364,53 @@ def test_restricted_to_inside_the_union_proves_nothing_again(monkeypatch):
     monkeypatch.setattr(
         covers, "union_all", lambda rsets: calls.append("union_all") or union_all(rsets)
     )
-    for piece in (closed(0, 1), closed("1/3", "2/5"), closed("1/2", "1/2")):
-        sub = EXAMPLE.restricted_to(piece)
-        assert sub.target == RSet((piece,))
+    init = Cover.__post_init__
+    monkeypatch.setattr(
+        Cover, "__post_init__", lambda self: calls.append("Cover") or init(self)
+    )
+    for piece in (closed(0, 1), closed("1/3", "2/5"), closed("1/2", "5/8")):
+        assert window_supremum(EXAMPLE, piece) > 0
+        assert chain_subcover(EXAMPLE, piece)
     grid = ball_cover(3)
-    grid.restricted_to(closed("1/7", "2/7"))
+    assert window_supremum(grid, closed("1/7", "2/7")) == grid.step
+    assert chain_subcover(grid, closed("1/7", "2/7")) == [5, 6, 7, 8, 9]
     assert calls == []
 
 
-def test_restricted_to_outside_the_union_raises():
-    with pytest.raises(CoverError, match="uncovered part"):
-        EXAMPLE.restricted_to(closed(1, 2))
-    with pytest.raises(CoverError, match="uncovered part"):
-        Cover(RSet.empty(), (rs("(0,1/2)"), rs("(1/2,1)"))).restricted_to(closed(0, 1))
+def test_window_queries_outside_the_union_raise():
+    outside = (
+        (EXAMPLE, closed(1, 2)),
+        (Cover(RSet.empty(), (rs("(0,1/2)"), rs("(1/2,1)"))), closed(0, 1)),
+    )
+    for cover, part in outside:
+        for query in (window_supremum, chain_subcover):
+            with pytest.raises(CoverError, match="uncovered part"):
+                query(cover, part)
 
 
 def test_proven_sub_covers_answer_like_generic_ones():
-    """`restricted_to` of a piece inside the union answers every query as
-    a sub-cover built and proved by the checking constructor."""
+    """A window query on a piece inside the union answers as it does on
+    the sub-cover of the touching members, built and proved by the
+    checking constructor."""
     rng = random.Random(7301)
     for _ in range(60):
         t = random_target(rng)
         cover = random_cover(rng, t)
         lo = rnd_fraction(rng, t.lo, t.hi)
         piece = Interval(lo, rnd_fraction(rng, lo, t.hi), False, False)
-        sub = cover.restricted_to(piece)
         idxs = cover.members_touching(piece.lo, piece.hi)
         ref = Cover(RSet((piece,)), tuple(cover.member(i) for i in idxs))
-        assert (sub.target, sub.members, sub.union) == (ref.target, ref.members, ref.union)
         h = piece.length / 4
         points = sorted([piece.lo + k * h for k in range(-1, 6)] + [piece.lo + h / 3])
         for x in points:
-            assert sub.members_containing_point(x) == ref.members_containing_point(x)
             for y in points:
-                if x <= y:
-                    assert sub.members_touching(x, y) == ref.members_touching(x, y)
-                    assert sub.holding(x, y) == ref.holding(x, y)
-                    assert sub.holding(x, y) == holding_by_scan(sub, x, y)
+                if piece.lo <= x <= y <= piece.hi:
+                    assert cover.holding(x, y) == ref.holding(x, y)
+                    assert cover.holding(x, y) == holding_by_scan(ref, x, y)
         if piece.length > 0:
-            assert window_supremum(sub) == window_supremum(ref)
-            family = [RSet.interval(x, x + h) for x in points] + [
-                RSet.interval(x, y, False, False) for x, y in zip(points, points[2:])
-            ]
-            assert sub.refinement_witnesses(family) == ref.refinement_witnesses(family)
+            assert window_supremum(cover, piece) == window_supremum(ref)
+            assert lebesgue_number(cover, piece) == lebesgue_number(ref)
+            assert [idxs[i] for i in chain_subcover(ref)] == chain_subcover(cover, piece)
 
 
 # --- chain subcover ----------------------------------------------------------

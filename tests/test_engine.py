@@ -469,7 +469,7 @@ def test_grid_validated_on_part_of_its_ambient_stays_a_grid(monkeypatch):
     grid = ball_cover(3)
     for target in ("closed:[0,1/4];[1/2,1]", "cantor", "full"):
         assert validate_cover(grid, TargetSpec.parse(target), AMBIENT) is grid
-    assert grid.restricted_to(AMBIENT) is grid
+    assert window_supremum(grid, AMBIENT) == grid.step
     assert grid == covers.GridCover(3, AMBIENT)
     assert hash(grid) == hash(covers.GridCover(3, AMBIENT))
     assert grid != covers.GridCover(4, AMBIENT)
@@ -500,6 +500,22 @@ def test_discrete_rules_forfeit_chain_puncture():
     assert t.verdict.outcome == "one-wins-forfeit"
     assert t.verdict.certificate["rejection"] == "NotDiscrete"
     assert t.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "ruleset,length,outcome",
+    [
+        ("disjoint", "2", "two-wins-covered"),
+        ("discrete", "2", "one-wins-forfeit"),
+        ("disjoint", "w", "two-wins-covered"),
+    ],
+)
+def test_chain_puncture_against_grid_builds_no_grid_member(ruleset, length, outcome, monkeypatch):
+    """The chain is read from the grid's closed-form answers, member by
+    member, without its member tuple."""
+    refuse_grid_members(monkeypatch)
+    t = play(config(ruleset, length, "grid", "chain-puncture"))
+    assert t.verdict.outcome == outcome
 
 
 @pytest.mark.parametrize(
