@@ -7,6 +7,9 @@ responses after history tau followed by grid m.  A strategy whose cores
 miss a point can be refuted by a greedy escape search that extends the
 history so the response closures never capture the point; the resulting
 certificate replays exactly.
+
+Every reply is judged by the match referee, `engine.referee_step`, under
+the discrete ruleset; an illegal reply raises `engine.IllegalMove`.
 """
 
 from __future__ import annotations
@@ -15,43 +18,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .covers import Cover, ball_cover
+from .covers import ball_cover
+from .engine import referee_step
 from .errors import InputError, InvariantViolation
-from .sets import (
-    DiscreteFamily,
-    Interval,
-    RSet,
-    is_discrete,
-    rat,
-    union_all,
-)
+from .sets import DiscreteFamily, Interval, RSet, rat, union_all
 from .two_strategies import largest_component
-
-
-class IllegalResponse(ValueError):
-    """A strategy's reply failed the discrete-refinement rules."""
-
-
-def _checked_response(bot, inning: int, cover: Cover) -> list[RSet]:
-    family = bot.respond(inning, cover)
-    fam = [m for m in family]
-    for i, m in enumerate(fam):
-        if m.is_empty:
-            raise IllegalResponse(f"response member {i} is empty")
-    ok, _ = cover.refinement_witnesses(fam)
-    if not ok:
-        raise IllegalResponse("response does not refine the cover")
-    is_discrete(fam)
-    return fam
 
 
 def _replay(two_factory: Callable[[], object], indices: Sequence[int], ambient: Interval) -> RSet:
     """Union of the strategy's response to the last cover of the sequence
-    B_{i_1}, ..., B_{i_k}."""
+    B_{i_1}, ..., B_{i_k}, each response refereed as a discrete move."""
     bot = two_factory()
-    last: list[RSet] = []
+    last: tuple[RSet, ...] = ()
     for j, idx in enumerate(indices):
-        last = _checked_response(bot, j, ball_cover(idx, ambient))
+        cover = ball_cover(idx, ambient)
+        last = referee_step("discrete", cover, bot.respond(j, cover), ambient).members
     return union_all(last)
 
 

@@ -595,6 +595,9 @@ def main(argv=None) -> int:
     except CoverError as exc:  # a strategy cannot answer a legal cover
         print(f"cover error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except IllegalMove as exc:  # a bot's move outside a refereed match
+        print(f"illegal move: {exc.side} {exc.kind} {exc.detail}", file=sys.stderr)
+        return EXIT_ILLEGAL
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from math import ceil, floor, gcd, lcm
 from typing import Optional
 
-from .sets import Interval, RSet, normalize, rat, refines, union_all
+from .sets import Interval, RSet, normalize, rat, union_all
 
 
 class CoverError(ValueError):
@@ -89,9 +89,25 @@ class Cover:
     def refinement_witnesses(
         self, family: Sequence[RSet]
     ) -> tuple[bool, list[Optional[int]]]:
-        """`sets.refines` against this cover, using its point index so
-        the candidate search does not scan all members."""
-        return refines(family, self.members, self.members_containing_point)
+        """The refinement rule, for every kind of cover: whether each
+        family member lies in some cover member, and per family member
+        the lowest index of one that holds it (None when none does).
+
+        A set lies in a cover member only if that member contains the
+        set's first point, so only the members containing that point are
+        tried; the empty set lies in every member.  `sets.refines` is the
+        definition-level scan the tests compare this with.
+        """
+        witnesses: list[Optional[int]] = []
+        for m in family:
+            if m.is_empty:
+                witnesses.append(None if self.union.is_empty else 0)
+                continue
+            candidates = self.members_containing_point(m.representative())
+            witnesses.append(
+                next((i for i in candidates if m.is_subset(self.member(i))), None)
+            )
+        return None not in witnesses, witnesses
 
     def member_texts(self) -> list[str]:
         """`str` of every member, in index order: what a transcript writes."""
@@ -238,10 +254,12 @@ class GridCover(Cover):
     nonempty, and closed exactly where the ambient's ends cut it.  The
     members cover the ambient, which is both the target and the union.
 
-    Queries, equality and the transcript's `member_texts` are answered in
-    closed form from n and the ambient.  The member tuple is
-    built on first use of `members`, once per instance; `GreedyTwo` is
-    its only consumer left in a match.
+    Answered in closed form from n and the ambient: `member(k)`,
+    `members_touching`, `members_containing_point`, `holding`, the
+    transcript's `member_texts`, `window_supremum` on the ambient, and
+    equality.  `refinement_witnesses` is `Cover`'s, over those queries.
+    The member tuple is built on first use of `members`, once per
+    instance; `GreedyTwo` is its only consumer left in a match.
     """
 
     def __init__(self, n: int, ambient: Interval):
@@ -272,24 +290,25 @@ class GridCover(Cover):
     def __hash__(self) -> int:
         return hash((self.n, self.ambient))
 
-    def _between(self, k: int, lo: Fraction, hi: Fraction) -> RSet:
-        return RSet((Interval(lo, hi, k > 0, k < self.last),))
-
     @cached_property
     def members(self) -> tuple[RSet, ...]:
         # the grid points are computed once and shared by neighbouring members
         last, lo, h = self.last, self.ambient.lo, self.step
         pts = [lo + j * h for j in range(last + 1)]
         return tuple(
-            self._between(k, pts[max(k - 1, 0)], pts[min(k + 1, last)])
+            RSet((Interval(pts[max(k - 1, 0)], pts[min(k + 1, last)], k > 0, k < last),))
             for k in range(last + 1)
         )
+
+    def _component(self, k: int) -> Interval:
+        """The one component of member k."""
+        lo, h, last = self.ambient.lo, self.step, self.last
+        return Interval(lo + max(k - 1, 0) * h, lo + min(k + 1, last) * h, k > 0, k < last)
 
     def member(self, k: int) -> RSet:
         if not 0 <= k <= self.last:
             raise IndexError(f"grid member {k} out of range")
-        lo, h = self.ambient.lo, self.step
-        return self._between(k, lo + max(k - 1, 0) * h, lo + min(k + 1, self.last) * h)
+        return RSet((self._component(k),))
 
     def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
         # member k's closure spans grid units [max(k-1, 0), min(k+1, last)]
@@ -308,10 +327,17 @@ class GridCover(Cover):
         j = floor(t)
         return [j] if t == j else [j, j + 1]
 
-    def refinement_witnesses(
-        self, family: Sequence[RSet]
-    ) -> tuple[bool, list[Optional[int]]]:
-        return refines(family, _MembersByIndex(self), self.members_containing_point)
+    def holding(self, lo: Fraction, hi: Fraction) -> Optional[Interval]:
+        # the lowest member reaching past hi is k = floor((hi - a)/h); it
+        # holds [lo, hi] iff it starts before lo, and then no lower one does;
+        # if it does not, neither does member k+1, which starts at kh
+        a = self.ambient.lo
+        if not a <= lo <= hi <= self.ambient.hi:
+            return None
+        k = floor((hi - a) / self.step)
+        if k > 0 and lo - a <= (k - 1) * self.step:
+            return None
+        return self._component(k)
 
     def member_texts(self) -> list[str]:
         # grid point j is (a + j*b)/q over one common denominator q; each
@@ -326,19 +352,6 @@ class GridCover(Cover):
             pts.append(str(num // g) if g == q else f"{num // g}/{q // g}")
         inner = [f"({x},{y})" for x, y in zip(pts, pts[2:])]
         return [f"[{pts[0]},{pts[1]})", *inner, f"({pts[-2]},{pts[-1]}]"]
-
-
-class _MembersByIndex(Sequence):
-    """A grid cover's members as a sequence, built one at a time."""
-
-    def __init__(self, cover: GridCover):
-        self.cover = cover
-
-    def __len__(self) -> int:
-        return self.cover.last + 1
-
-    def __getitem__(self, k: int) -> RSet:
-        return self.cover.member(k)
 
 
 # 32 grids hold every grid one play uses (one per inning, up to

@@ -497,13 +497,17 @@ def play(config: GameConfig) -> Transcript:
         )
 
     records: list[InningRecord] = []
-    def run_inning(label: InningLabel, proposed: Cover) -> CheckedFamily:
-        cover = validate_cover(proposed, config.target, config.ambient)
-        family = two.respond(len(records), cover)
+
+    def commit(label: InningLabel, cover: Cover, family: Sequence[RSet]) -> None:
+        """Referee TWO's family on a validated cover, record the inning
+        and show ONE the family."""
         checked = referee_step(config.ruleset, cover, family, config.ambient)
         records.append(InningRecord(label, cover, checked))
         one.observe(checked.members)
-        return checked
+
+    def run_inning(label: InningLabel, proposed: Cover) -> None:
+        cover = validate_cover(proposed, config.target, config.ambient)
+        commit(label, cover, two.respond(len(records), cover))
 
     def run_limit_inning(label: InningLabel) -> None:
         """The first inning after a limit stage: the cover comes from a
@@ -533,9 +537,7 @@ def play(config: GameConfig) -> Transcript:
                     ext = Ordinal.omega(block).add(ext)
                 run_inning(InningLabel("inning", ext), one.next_cover())
                 continue
-            checked = referee_step(config.ruleset, limit_cover, move, config.ambient)
-            records.append(InningRecord(label, limit_cover, checked))
-            one.observe(checked.members)
+            commit(label, limit_cover, move)
             return
 
     try:

@@ -395,20 +395,21 @@ def is_discrete(members: Sequence[RSet]) -> DiscreteFamily:
         if ci == ni:
             continue
         if gap <= 0:
-            first = _first_offending_pair(closures)
-            raise FamilyNotDiscrete(*first)
+            raise FamilyNotDiscrete(*_first_meeting_pair(closures))
         if min_gap is None or gap < min_gap:
             min_gap = gap
     return DiscreteFamily(members, min_gap)
 
 
-def _first_offending_pair(closures: Sequence[RSet]) -> tuple[int, int, Fraction]:
-    for i in range(len(closures)):
-        for j in range(i + 1, len(closures)):
-            meet = closures[i].intersect(closures[j])
+def _first_meeting_pair(rsets: Sequence[RSet]) -> tuple[int, int, Fraction]:
+    """The first pair i < j of meeting sets, with a shared point: the
+    witness of `FamilyNotDiscrete` (on closures) and `FamilyNotDisjoint`."""
+    for i in range(len(rsets)):
+        for j in range(i + 1, len(rsets)):
+            meet = rsets[i].intersect(rsets[j])
             if not meet.is_empty:
                 return i, j, meet.representative()
-    raise AssertionError("no offending pair found")
+    raise AssertionError("no meeting pair found")
 
 
 def is_disjoint(members: Sequence[RSet]) -> tuple[RSet, ...]:
@@ -425,11 +426,7 @@ def is_disjoint(members: Sequence[RSet]) -> tuple[RSet, ...]:
             nxt.lo == cur.hi and not cur.hi_open and not nxt.lo_open
         )
         if touching:
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    meet = members[i].intersect(members[j])
-                    if not meet.is_empty:
-                        raise FamilyNotDisjoint(i, j, meet.representative())
+            raise FamilyNotDisjoint(*_first_meeting_pair(members))
     return members
 
 
@@ -447,38 +444,21 @@ def witness_radius(family: Sequence[RSet], x) -> Optional[Fraction]:
 
 
 def refines(
-    family: Sequence[RSet],
-    cover_members: Sequence[RSet],
-    containing: Optional[Callable[[Fraction], list[int]]] = None,
+    family: Sequence[RSet], cover_members: Sequence[RSet]
 ) -> tuple[bool, list[Optional[int]]]:
     """Is every family member contained in some cover member?
 
     Returns the overall verdict plus, per member, the index of the
-    first containing cover element (None when uncontained).  A member
-    lies in a cover element only if that element contains its first
-    component's representative, so only the elements `containing`
-    lists for that point (in index order) are tried; by default every
-    element is tested.
+    first containing cover element (None when uncontained).  This is
+    the definition-level scan, testing every element in index order;
+    the referee asks `Cover.refinement_witnesses`, which the tests
+    check against it.
     """
-    if containing is None:
-        def containing(x: Fraction) -> list[int]:
-            return [i for i, cm in enumerate(cover_members) if cm.contains(x)]
-
-    witnesses: list[Optional[int]] = []
-    ok = True
-    for m in family:
-        found = None
-        if m.is_empty:
-            found = 0 if cover_members else None
-        else:
-            for i in containing(m.components[0].representative()):
-                if m.is_subset(cover_members[i]):
-                    found = i
-                    break
-        witnesses.append(found)
-        if found is None:
-            ok = False
-    return ok, witnesses
+    witnesses = [
+        next((i for i, cm in enumerate(cover_members) if m.is_subset(cm)), None)
+        for m in family
+    ]
+    return None not in witnesses, witnesses
 
 
 # --- canonical text syntax -------------------------------------------------

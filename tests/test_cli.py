@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from intervalgames import catalog
 from intervalgames.cli import DEMOS, main
+from intervalgames.sets import closed
 
 
 def run_cli(*argv, stdin_text=None, monkeypatch=None):
@@ -235,6 +237,44 @@ def test_analyze_escape_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["indices"]) == 5
     assert payload["revalidates"] is True
+
+
+def cover_game_two_ids():
+    """Every id `catalog.TWO_IDS` lists, with each bracketed parameter
+    spelled out, that the cover game builds a bot for."""
+    ids = []
+    for entry in catalog.TWO_IDS:
+        name, _, options = entry.split()[0].partition("[")
+        ids += [name] + [name + opt for opt in options.rstrip("]").split("|") if opt]
+    playable = []
+    for ident in ids:
+        try:
+            catalog.make_two(ident, closed(0, 1))
+        except catalog.UnknownStrategy:
+            continue
+        playable.append(ident)
+    return playable
+
+
+def test_every_two_bot_ends_with_an_exit_code_not_a_traceback(monkeypatch, capsys):
+    """Analyses and the REPL against each TWO bot: a bot's illegal move
+    or unanswerable cover ends the command with its exit code."""
+    ids = cover_game_two_ids()
+    assert {"chain-puncture", "countable:triadic", "halving-omega-plus-1"} <= set(ids)
+    commands = [("analyze", "core", "--depth", "2"), ("analyze", "escape", "--k", "1", "--search", "2")]
+    commands += [("interactive", "--as", "one", "--ruleset", r) for r in ("discrete", "disjoint")]
+    for ident in ids:
+        for argv in commands:
+            code = run_cli(
+                *argv, "--two", ident,
+                stdin_text="[0,3/4);(1/4,1]\nquit\n", monkeypatch=monkeypatch,
+            )
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 64), (ident, argv, code)
+            assert "Traceback" not in err, (ident, argv)
+    # the disjoint-ruleset puncture bot makes an illegal discrete move
+    assert run_cli("analyze", "core", "--two", "chain-puncture") == 2
+    assert capsys.readouterr().err.startswith("illegal move: two NotDiscrete ")
 
 
 def test_check_suites_exit_zero(capsys):

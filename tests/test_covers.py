@@ -24,7 +24,15 @@ from intervalgames.covers import (
     verify_lebesgue,
     window_supremum,
 )
-from intervalgames.sets import Interval, RSet, closed, normalize, parse_rset, union_all
+from intervalgames.sets import (
+    Interval,
+    RSet,
+    closed,
+    normalize,
+    parse_rset,
+    refines,
+    union_all,
+)
 
 from conftest import random_cover, random_target
 
@@ -337,8 +345,13 @@ def test_grid_cover_answers_match_a_generic_cover(ambient):
             + [RSet.interval(p, p + 2 * h) for p in midpoints]  # fit nowhere
             + [RSet.interval(p, q, False, False) for p, q in zip(midpoints, midpoints[1:])]
             + [RSet.interval(b, b + h), RSet.interval(a, a + h / 2, False, True)]
+            + [RSet.empty()]
         )
-        assert grid.refinement_witnesses(family) == ref.refinement_witnesses(family)
+        assert (
+            grid.refinement_witnesses(family)
+            == ref.refinement_witnesses(family)
+            == refines(family, ref.members)
+        )
 
 
 @pytest.mark.parametrize("ambient", [(0, 1), ("1/5", 2), (-1, "2/3"), (-3, -1)])

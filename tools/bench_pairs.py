@@ -13,7 +13,12 @@ side's own directory; even pairs run the parent first, odd pairs the
 change.  The output holds the machine, the Python version, every run's
 metrics, each side's median and quartiles per metric, and how many pairs
 the change won per metric (better as `BENCHMARK.json` defines it, ties
-counting for neither side).
+counting for neither side).  Per workload, `against_bound` reads each
+end-to-end metric against its `BENCHMARK.json` bound: `worse_by` is the
+change median's relative change from the parent median in the metric's
+worse direction (negative when it got better), `within_bound` whether
+that stays at or below `bound`, and `parent_iqr` the distance between
+the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -74,21 +79,32 @@ def spread(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     sides = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     out = {}
     for side, rs in sides.items():
         out[side] = {name: spread([r["metrics"][name] for r in rs]) for name in metrics}
         out[side]["correct"] = all(r["correct"] for r in rs)
         out[side]["failed_per_attempted"] = [f"{r['failed']}/{r['attempted']}" for r in rs]
-    wins = {}
-    for name, better in metrics.items():
+    wins, against = {}, {}
+    for name, spec in metrics.items():
+        higher = spec["better"] == "higher"
         won = 0
         for p, c in zip(sides["parent"], sides["change"]):
             a, b = p["metrics"][name], c["metrics"][name]
-            won += (b > a) if better == "higher" else (b < a)
+            won += (b > a) if higher else (b < a)
         wins[name] = f"{won}/{len(sides['parent'])}"
+        parent, change = out["parent"][name], out["change"][name]["median"]
+        worse = parent["median"] - change if higher else change - parent["median"]
+        worse_by = worse / parent["median"]
+        against[name] = {
+            "worse_by": worse_by,
+            "bound": spec["bound"],
+            "within_bound": worse_by <= spec["bound"],
+            "parent_iqr": parent["q3"] - parent["q1"],
+        }
     out["change_wins"] = wins
+    out["against_bound"] = against
     return out
 
 
@@ -112,7 +128,7 @@ def main() -> int:
     ap.add_argument("--out", required=True, type=Path, help="e.g. BENCH_10.json")
     args = ap.parse_args()
     seeds = parse_seeds(args.seeds)
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     report = {
         "machine": machine(),
         "python": platform.python_version(),
