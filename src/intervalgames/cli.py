@@ -35,7 +35,7 @@ from .engine import (
     validate_cover,
 )
 from .errors import InputError, InvariantViolation, ProtocolError
-from .ordinals import InningSchedule, parse_ordinal, reduced_length
+from .ordinals import InningSchedule, Ordinal, parse_ordinal, reduced_length
 from .sequences import enumeration
 from .sets import (
     RSet,
@@ -98,13 +98,15 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _ruleset(text: str) -> str:
+    return {"d": "discrete", "c": "disjoint"}.get(text, text)
+
+
 def _game_config(args) -> GameConfig:
-    ruleset = {"d": "discrete", "c": "disjoint"}.get(args.ruleset, args.ruleset)
-    ambient = parse_interval(args.ambient)
     return GameConfig(
-        ruleset=ruleset,
+        ruleset=_ruleset(args.ruleset),
         length=parse_ordinal(args.length),
-        ambient=ambient,
+        ambient=parse_interval(args.ambient),
         target=TargetSpec.parse(args.target),
         one=args.one,
         two=args.two,
@@ -334,7 +336,15 @@ def _two_factory(ident: str, ambient):
 
 
 def cmd_analyze(args) -> int:
-    ambient = parse_interval(args.ambient)
+    # the analyzed game: TWO's discrete replies to grid covers of the ambient
+    ambient = GameConfig(
+        ruleset="discrete",
+        length=Ordinal.omega(),
+        ambient=parse_interval(args.ambient),
+        target=TargetSpec.full(),
+        one="grid",
+        two=args.two,
+    ).ambient
     factory = _two_factory(args.two, ambient)
     if args.what == "core":
         tau = tuple(_int_arg("tau", x) for x in args.tau.split(",")) if args.tau else ()
@@ -390,12 +400,18 @@ def _parse_family(line: str) -> list[RSet]:
 
 def cmd_interactive(args, stdin=None) -> int:
     stdin = stdin or sys.stdin
-    ambient = parse_interval(args.ambient)
-    target = TargetSpec.parse(args.target)
-    ruleset = {"d": "discrete", "c": "disjoint"}.get(args.ruleset, args.ruleset)
     innings = _int_arg("innings", args.innings)
     if innings < 1:
         raise InputError("--innings must be >= 1")
+    config = GameConfig(
+        ruleset=_ruleset(args.ruleset),
+        length=Ordinal.of(innings),
+        ambient=parse_interval(args.ambient),
+        target=TargetSpec.parse(args.target),
+        one=args.one,
+        two=args.two,
+    )
+    ruleset, ambient, target = config.ruleset, config.ambient, config.target
     human_side = args.as_side
     if human_side not in ("one", "two"):
         raise InputError("interactive needs --as one or --as two")

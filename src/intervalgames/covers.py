@@ -154,7 +154,9 @@ def window_supremum(cover: Cover, part: Optional[Interval] = None) -> Fraction:
     [a, b] is `part`, by default the cover's target; it must lie inside
     the cover's union, and only the members touching it are read.
     Lengths strictly below d* are always admissible; d* itself may or
-    may not be.  d* is the least gap between a window start and the
+    may not be.  When one member holds all of [a, b], every window
+    inside [a, b] lies in it, so d* = b - a and no sweep is made.
+    Otherwise d* is the least gap between a window start and the
     furthest reach of the components serving it, capped by b - a and
     by the components that hold windows ending at b.  The gap
     only shrinks between consecutive first starts of components, so one
@@ -164,10 +166,16 @@ def window_supremum(cover: Cover, part: Optional[Interval] = None) -> Fraction:
     starting at a grid point jh fits only in member j, which ends at
     (j+1)h, and every window shorter than h fits in member j or j+1.
     """
-    t = _target_interval(cover, part)
+    return _supremum_on(cover, _target_interval(cover, part))
+
+
+def _supremum_on(cover: Cover, t: Interval) -> Fraction:
+    """`window_supremum` on a [a, b] that `_target_interval` has checked."""
     if isinstance(cover, GridCover) and t == cover.ambient:
         return cover.step
     a, b = t.lo, t.hi
+    if cover.holding(a, b) is not None:
+        return b - a
     # components of positive length meeting [a, b], each keyed by the
     # first window start it serves; point components serve no window
     reaches, ends = [], []

@@ -420,7 +420,11 @@ def _adjudicate(
 ) -> Verdict:
     union = union_all([m for r in records for m in r.family.members])
     materialized = len(records)
-    box = RSet((config.ambient.closure(),))
+    # a closed target's figures are taken on its own set, others' on the ambient
+    if config.target.kind == "closed":
+        box = config.target.rset
+    else:
+        box = RSet((config.ambient.closure(),))
     if config.target.uncovered(union, config.ambient, materialized) is None:
         return Verdict(
             "two-wins-covered",

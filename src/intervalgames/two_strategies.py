@@ -21,10 +21,10 @@ from .cantor import CantorSpec
 from .covers import (
     Cover,
     CoverError,
+    _supremum_on,
     _target_interval,
     chain_subcover,
     lebesgue_number,
-    window_supremum,
 )
 from .errors import InvariantViolation
 from .sequences import EnumeratedPoints
@@ -55,9 +55,10 @@ def halving_refinement(
     smallest even number M of equal cells shorter than the cover's exact
     window supremum on [a, b], keeps the odd-indexed open
     cells as a discrete family, and returns the even-indexed closed
-    cells as the residual: their lengths add up to exactly (b-a)/2.
-    Every cell is shorter than the window supremum, so each closed cell
-    fits inside a single cover member; this is asserted per cell.
+    cells as the residual, in order: their lengths add up to exactly
+    (b-a)/2.  Every cell is shorter than the window supremum, so each
+    closed cell fits inside a single cover member; this is asserted per
+    cell.  [a, b] must lie in the cover's union (`CoverError` if not).
 
     The right endpoint b belongs to the last (odd) cell.  When b is the
     right end of the `ambient` interval (by default [a, b] itself) that
@@ -66,11 +67,16 @@ def halving_refinement(
     b joins the residual as a degenerate closed piece, to be absorbed
     by a later fattening move.
     """
-    t = _target_interval(cover, piece)
-    if ambient is None:
-        ambient = t
-    sup = window_supremum(cover, t)
-    m = smallest_even_grid(t.length, sup)
+    members, residual = _halve(cover, _target_interval(cover, piece), ambient)
+    return is_discrete(members), residual
+
+
+def _halve(
+    cover: Cover, t: Interval, ambient: Optional[Interval]
+) -> tuple[list[RSet], list[Interval]]:
+    """`halving_refinement`'s cells on a checked [a, b], uncertified."""
+    at_boundary = ambient is None or t.hi == ambient.hi
+    m = smallest_even_grid(t.length, _supremum_on(cover, t))
     step = t.length / m
     grid = [t.lo + i * step for i in range(m + 1)]
     for i in range(m):
@@ -78,13 +84,8 @@ def halving_refinement(
             raise InvariantViolation(
                 f"grid cell [{grid[i]},{grid[i + 1]}] fits no cover member"
             )
-    at_boundary = t.hi == ambient.hi
     members = [
-        RSet.interval(
-            grid[i],
-            grid[i + 1],
-            hi_open=not (i == m - 1 and at_boundary),
-        )
+        RSet((Interval(grid[i], grid[i + 1], True, not (i == m - 1 and at_boundary)),))
         for i in range(1, m, 2)
     ]
     residual = [
@@ -92,7 +93,7 @@ def halving_refinement(
     ]
     if not at_boundary:
         residual.append(Interval(t.hi, t.hi, False, False))
-    return is_discrete(members), residual
+    return members, residual
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,11 @@ def halving_step(
 
     The union of the per-cell families is discrete (cells of one
     residual interval have grid gaps, distinct residual intervals have
-    positive gaps) and the total residual measure halves exactly.
-    Degenerate point pieces pass through untouched; only a fattening
-    move can absorb them.
+    positive gaps) and is certified once; the total residual measure
+    halves exactly.  Degenerate point pieces pass through untouched;
+    only a fattening move can absorb them.  The residual is sorted by
+    left end with pairwise disjoint pieces, and each piece's own
+    residual lies inside it in order, so the new residual is sorted too.
     """
     if not state.residual:
         raise ValueError("nothing left to refine")
@@ -131,12 +134,10 @@ def halving_step(
         if piece.is_point:
             new_residual.append(piece)
             continue
-        fam, res = halving_refinement(cover, piece, ambient)
-        members.extend(fam.members)
+        cells, res = _halve(cover, _target_interval(cover, piece), ambient)
+        members.extend(cells)
         new_residual.extend(res)
-    family = is_discrete(members)
-    new_residual.sort(key=lambda p: p.lo)
-    return family, HalvingState(tuple(new_residual), state.inning + 1)
+    return is_discrete(members), HalvingState(tuple(new_residual), state.inning + 1)
 
 
 def _fattening_radius(

@@ -193,6 +193,29 @@ def test_malformed_check_and_analyze_input_exits_64(argv):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,blamed",
+    [
+        (("analyze", "core", "--two", "halving", "--ambient", "(0,1)"), "ambient must"),
+        (("analyze", "escape", "--two", "halving", "--ambient", "[0,0]"), "ambient must"),
+        (("interactive", "--as", "two", "--ambient", "[0,0]"), "ambient must"),
+        (("interactive", "--as", "one", "--ambient", "[0,0]"), "ambient must"),
+        (("interactive", "--as", "one", "--ruleset", "foo"), "ruleset must"),
+        (("interactive", "--as", "two", "--target", "closed:[2,3]"), "closed target"),
+    ],
+)
+def test_analyze_and_interactive_check_the_game_setup_like_play(
+    argv, blamed, monkeypatch, capsys
+):
+    """`analyze` and `interactive` refuse a bad game setup with the
+    checks `play` makes, before any game starts."""
+    assert run_cli(*argv, stdin_text="quit\n", monkeypatch=monkeypatch) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage error: {blamed} ")
+    assert err.count("\n") == 1
+
+
 # exit code and stdout SHA-256 of every demo
 DEMO_OUTPUTS = {
     "one-main": (0, "7f108139cb6fb5de3fcdf5c3ca87f505acf7e71c808904569c8ad61188909293"),

@@ -215,6 +215,33 @@ def test_window_supremum_matches_oracles_on_seeded_covers():
         assert brute_verify(cover, sup / 2)
 
 
+def test_window_held_by_one_member_has_supremum_its_length():
+    """When one member holds all of [a, b], the supremum is b - a: the
+    whole-window exit agrees with the brute-force sweep."""
+    rng = random.Random(1307)
+    checked = 0
+    for k in range(150):
+        t = random_target(rng)
+        if k % 3 == 2:
+            cover = ball_cover(1 + k % 4, t)
+        else:
+            cover = (random_cover, mixed_cover)[k % 3](rng, t)
+        for c in (c for m in cover.members for c in m.components):
+            lo, hi = max(c.lo, t.lo), min(c.hi, t.hi)
+            if hi <= lo:
+                continue
+            x = rnd_fraction(rng, lo, hi)
+            y = rnd_fraction(rng, x, hi)
+            if y == x or not c.contains_interval(Interval(x, y, False, False)):
+                continue
+            piece = Interval(x, y, False, False)
+            assert cover.holding(x, y) is not None
+            ref = Cover(RSet((piece,)), tuple(cover.members))
+            assert window_supremum(cover, piece) == y - x == brute_window_supremum(ref)
+            checked += 1
+    assert checked >= 100
+
+
 def test_verify_matches_brute_scan_on_seeded_pairs():
     rng = random.Random(2218)
     for _ in range(80):

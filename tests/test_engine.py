@@ -544,6 +544,25 @@ def test_truncated_omega_without_certificate_stays_truncated():
     assert F(t.verdict.certificate["uncovered_measure"]) == F(1, 64)
 
 
+@pytest.mark.parametrize("length", ["3", "w"])
+def test_closed_target_certificate_measures_the_target(length):
+    """A closed target's uncovered part and measures are taken on the
+    target, not on the ambient around it."""
+    target = TargetSpec.parse("closed:[0,1/4];[1/2,1]")
+    t = play(config("disjoint", length, "grid", "halving", target, budget=4))
+    cert = t.verdict.certificate
+    union = union_all([m for r in t.records for m in r.family.members])
+    missed = target.rset.subtract(union)
+    assert F(cert["uncovered_measure"]) == missed.measure() > 0
+    if length == "3":
+        assert t.verdict.outcome == "one-wins-uncovered"
+        assert rs(cert["uncovered"]) == missed
+        assert rs(cert["uncovered"]).is_subset(target.rset)
+    else:
+        assert t.verdict.outcome == "truncated"
+        assert F(cert["covered_measure"]) == union.intersect(target.rset).measure()
+
+
 def test_main_compact_cannot_play_limit_innings():
     with pytest.raises(ConfigError):
         play(config("discrete", "w+1", "main-compact", "halving-omega-plus-1"))

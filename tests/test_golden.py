@@ -28,7 +28,7 @@ GOLDEN = [
     ("discrete", "w", "[2/7,9/7]", "full", "main-compact", "greedy", 8,
      "ba513cf6736a1c39f3d4428e4396185c33eff58c50ec19e8c2bb5adf2e265c94"),
     ("disjoint", "3", "[0,1]", "closed:[0,1/4];[1/2,1]", "grid", "halving", 4,
-     "b5fbd4684c932f91067f7f6a7fb64e8f293ef0efc633e61921a6a936bb7b7439"),
+     "10179a4a08a9799c70d1de720f1c0555189fd22d1b12887f2dbb093d2d012452"),
     ("discrete", "1", "[0,1]", "cantor", "avoid-fixed", "cantor-oneshot", 4,
      "ea70bdca6a194c978386c2f04366d9a849fb5a9e8660b9619529e5d41043c6e1"),
     ("disjoint", "w", "[0,1]", "countable:rationals", "grid", "countable", 6,

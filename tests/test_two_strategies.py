@@ -5,11 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from intervalgames import covers, two_strategies
 from intervalgames.cantor import CantorSpec
 from intervalgames.covers import Cover, ball_cover, window_supremum
+from intervalgames.engine import GameConfig, TargetSpec, play
+from intervalgames.one_strategies import avoid_cover
+from intervalgames.ordinals import InningSchedule, parse_ordinal
 from intervalgames.sequences import EnumeratedPoints
 from intervalgames.sets import (
     FamilyNotDiscrete,
+    Interval,
     RSet,
     closed,
     is_discrete,
@@ -116,6 +121,83 @@ def test_halving_step_vs_grid_cover():
         ok, _ = refines(list(fam.members), cover.members)
         assert ok
         assert state.measure() == F(1, 2**n)
+
+
+def oracle_halving_step(state, cover, ambient):
+    """The step composed from the public `halving_refinement` on each
+    piece, certified as one family, and the residual sorted by left end."""
+    members, residual = [], []
+    for piece in state.residual:
+        if piece.is_point:
+            residual.append(piece)
+            continue
+        fam, res = halving_refinement(cover, piece, ambient)
+        members.extend(fam.members)
+        residual.extend(res)
+    residual.sort(key=lambda p: p.lo)
+    return is_discrete(members), residual
+
+
+def test_halving_step_matches_the_per_piece_composition():
+    """Seeded steps against random chain covers, grids and avoidance
+    covers: the same family, min_gap and residual order as the oracle."""
+    rng = random.Random(1313)
+    for case in range(12):
+        ambient = random_target(rng)
+        state = HalvingState((ambient,), 0)
+        for step in range(4):
+            kind = (case + step) % 3
+            if kind == 0:
+                cover = random_cover(rng, ambient)
+            elif kind == 1:
+                cover = ball_cover(rng.randint(1, 4), ambient)
+            else:
+                lo = ambient.lo + ambient.length * F(rng.randint(0, 8), 16)
+                hi = lo + ambient.length * F(rng.randint(2, 8), 16)
+                cover = avoid_cover(Interval(lo, hi, True, True), ambient)
+            family, residual = oracle_halving_step(state, cover, ambient)
+            fam, state = halving_step(state, cover, ambient)
+            assert fam.members == family.members
+            assert fam.min_gap == family.min_gap
+            assert list(state.residual) == residual
+            assert state.inning == step + 1
+
+
+def test_halving_match_checks_each_piece_once(monkeypatch):
+    """A machine-independent cost gate on the seed-1 benchmark match
+    `main-compact` vs `halving` (ambient [1/5,2], budget 25): one union
+    check per refined piece and one discreteness certificate per step."""
+    counts = {"union checks": 0, "certificates": 0, "pieces": 0, "steps": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def step(state, cover, ambient=None):
+        counts["pieces"] += sum(not p.is_point for p in state.residual)
+        counts["steps"] += 1
+        return halving_step(state, cover, ambient)
+
+    checked = counting("union checks", covers._target_interval)
+    monkeypatch.setattr(covers, "_target_interval", checked)
+    monkeypatch.setattr(two_strategies, "_target_interval", checked)
+    monkeypatch.setattr(
+        two_strategies, "is_discrete", counting("certificates", two_strategies.is_discrete)
+    )
+    monkeypatch.setattr(two_strategies, "halving_step", step)
+    t = play(
+        GameConfig(
+            "discrete", parse_ordinal("w"), closed("1/5", 2), TargetSpec.full(),
+            "main-compact", "halving", InningSchedule(main_budget=25),
+        )
+    )
+    assert t.verdict.outcome == "one-wins-certified"
+    assert counts == {
+        "union checks": 1777, "certificates": 25, "pieces": 1777, "steps": 25
+    }
 
 
 # --- limit fattening ---------------------------------------------------------
