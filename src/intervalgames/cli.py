@@ -423,7 +423,7 @@ def cmd_interactive(args, stdin=None) -> int:
     print(f"interactive {ruleset} game on {ambient}, {innings} innings shown")
     print(GRAMMAR_HINT)
     covered = RSet.empty()
-    box = RSet((ambient.closure(),))
+    box = target.measured_set(ambient)
 
     def prompt(text: str):
         print(text, end="", flush=True)

@@ -166,16 +166,18 @@ def window_supremum(cover: Cover, part: Optional[Interval] = None) -> Fraction:
     starting at a grid point jh fits only in member j, which ends at
     (j+1)h, and every window shorter than h fits in member j or j+1.
     """
-    return _supremum_on(cover, _target_interval(cover, part))
+    t = _target_interval(cover, part)
+    if cover.holding(t.lo, t.hi) is not None:
+        return t.length
+    return _supremum_on(cover, t)
 
 
 def _supremum_on(cover: Cover, t: Interval) -> Fraction:
-    """`window_supremum` on a [a, b] that `_target_interval` has checked."""
+    """`window_supremum` on a [a, b] that `_target_interval` has checked
+    and that no single member holds."""
     if isinstance(cover, GridCover) and t == cover.ambient:
         return cover.step
     a, b = t.lo, t.hi
-    if cover.holding(a, b) is not None:
-        return b - a
     # components of positive length meeting [a, b], each keyed by the
     # first window start it serves; point components serve no window
     reaches, ends = [], []

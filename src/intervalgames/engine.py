@@ -123,6 +123,13 @@ class TargetSpec:
             return RSet((ambient.closure(),))
         return RSet.empty()
 
+    def measured_set(self, ambient: Interval) -> RSet:
+        """The set whose uncovered part a certificate and `interactive`
+        measure: a closed target's own set, the ambient for the others."""
+        if self.kind == "closed":
+            return self.rset
+        return RSet((ambient.closure(),))
+
     def enumerated_points(self, ambient: Interval, n: int) -> list[Fraction]:
         """The first n points of the target's enumeration, on `ambient`."""
         points = EnumeratedPoints.named(self.param, ambient)
@@ -420,11 +427,7 @@ def _adjudicate(
 ) -> Verdict:
     union = union_all([m for r in records for m in r.family.members])
     materialized = len(records)
-    # a closed target's figures are taken on its own set, others' on the ambient
-    if config.target.kind == "closed":
-        box = config.target.rset
-    else:
-        box = RSet((config.ambient.closure(),))
+    box = config.target.measured_set(config.ambient)
     if config.target.uncovered(union, config.ambient, materialized) is None:
         return Verdict(
             "two-wins-covered",

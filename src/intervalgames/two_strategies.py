@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .cantor import CantorSpec
@@ -57,8 +58,10 @@ def halving_refinement(
     cells as a discrete family, and returns the even-indexed closed
     cells as the residual, in order: their lengths add up to exactly
     (b-a)/2.  Every cell is shorter than the window supremum, so each
-    closed cell fits inside a single cover member; this is asserted per
-    cell.  [a, b] must lie in the cover's union (`CoverError` if not).
+    closed cell fits inside a single cover member.  When one member
+    holds all of [a, b], M = 2 and that member holds both cells;
+    otherwise the fit is asserted per cell.  [a, b] must lie in the
+    cover's union (`CoverError` if not).
 
     The right endpoint b belongs to the last (odd) cell.  When b is the
     right end of the `ambient` interval (by default [a, b] itself) that
@@ -76,14 +79,18 @@ def _halve(
 ) -> tuple[list[RSet], list[Interval]]:
     """`halving_refinement`'s cells on a checked [a, b], uncertified."""
     at_boundary = ambient is None or t.hi == ambient.hi
-    m = smallest_even_grid(t.length, _supremum_on(cover, t))
+    # a member holding all of [a, b] gives supremum b - a, so M = 2, and
+    # it holds both cells; otherwise each cell's fit is checked
+    held = cover.holding(t.lo, t.hi) is not None
+    m = 2 if held else smallest_even_grid(t.length, _supremum_on(cover, t))
     step = t.length / m
     grid = [t.lo + i * step for i in range(m + 1)]
-    for i in range(m):
-        if cover.holding(grid[i], grid[i + 1]) is None:
-            raise InvariantViolation(
-                f"grid cell [{grid[i]},{grid[i + 1]}] fits no cover member"
-            )
+    if not held:
+        for i in range(m):
+            if cover.holding(grid[i], grid[i + 1]) is None:
+                raise InvariantViolation(
+                    f"grid cell [{grid[i]},{grid[i + 1]}] fits no cover member"
+                )
     members = [
         RSet((Interval(grid[i], grid[i + 1], True, not (i == m - 1 and at_boundary)),))
         for i in range(1, m, 2)
@@ -405,29 +412,42 @@ class FirstMemberTwo(TwoBot):
 
 class GreedyTwo(TwoBot):
     """Quarter-shrinks every member component and keeps a maximal
-    closure-disjoint subcollection, largest first."""
+    closure-disjoint subcollection, largest first.
+
+    Selection runs on integers over D, the lcm of the endpoint
+    denominators of the positive-length components: (l, h) becomes
+    L = lD, H = hD, and its quarter-shrunk candidate is (3L+H, L+3H)
+    over 4D.  Candidates are tried by (L-H, 3L+H, L+3H), the order the
+    Fraction key (-length, lo, hi) gives: longest first, ties leftmost.
+    One is kept when a positive gap separates it from both accepted
+    neighbours.  Fractions and `Interval`s are built only for the kept
+    candidates, so the family is the one exact Fraction selection gives.
+    """
 
     def respond(self, inning: int, cover: Cover) -> list[RSet]:
+        comps = [c for m in cover.members for c in m.components if c.lo < c.hi]
+        d = lcm(*{x.denominator for c in comps for x in (c.lo, c.hi)})
         cands = []
-        for m in cover.members:
-            for c in m.components:
-                if c.length > 0:
-                    q = c.length / 4
-                    cands.append(Interval(c.lo + q, c.hi - q, True, True))
-        cands.sort(key=lambda c: (-c.length, c.lo, c.hi))
-        accepted: list[Interval] = []  # kept sorted by lo
-        los: list[Fraction] = []
-        for c in cands:
-            pos = bisect_left(los, c.lo)
-            ok = True
-            if pos < len(accepted) and accepted[pos].lo - c.hi <= 0:
-                ok = False
-            if pos > 0 and c.lo - accepted[pos - 1].hi <= 0:
-                ok = False
-            if ok:
-                accepted.insert(pos, c)
-                los.insert(pos, c.lo)
-        return [RSet((c,)) for c in accepted]
+        for c in comps:
+            lo = c.lo.numerator * (d // c.lo.denominator)
+            hi = c.hi.numerator * (d // c.hi.denominator)
+            cands.append((lo - hi, 3 * lo + hi, lo + 3 * hi))
+        cands.sort()
+        los: list[int] = []  # accepted candidates, sorted by left end
+        his: list[int] = []
+        for _, lo, hi in cands:
+            pos = bisect_left(los, lo)
+            if pos < len(los) and los[pos] - hi <= 0:
+                continue
+            if pos > 0 and lo - his[pos - 1] <= 0:
+                continue
+            los.insert(pos, lo)
+            his.insert(pos, hi)
+        q = 4 * d
+        return [
+            RSet((Interval(Fraction(lo, q), Fraction(hi, q), True, True),))
+            for lo, hi in zip(los, his)
+        ]
 
 
 class HalvingTwo(TwoBot):

@@ -385,6 +385,18 @@ def test_interactive_truncation_names_an_uncovered_target_part(monkeypatch, caps
     assert "truncated after 1 innings; uncovered: [0,0];[1/8,1/4]" in capsys.readouterr().out
 
 
+def test_interactive_running_measure_is_taken_on_a_closed_target(monkeypatch, capsys):
+    # (0,1/8) leaves [0,0];[1/8,1/4] of the target, measure 1/8; the
+    # ambient's uncovered part would measure 7/8
+    code = run_cli(
+        "interactive", "--as", "two", "--one", "avoid-fixed",
+        "--target", "closed:[0,1/4]", "--innings", "1",
+        stdin_text="(0,1/8)\n", monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert "uncovered measure so far: 1/8\n" in capsys.readouterr().out
+
+
 def test_interactive_side_from_the_config_file(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "side.cfg"
     cfg.write_text("as = two\n")

@@ -1,6 +1,7 @@
 """Covering-player constructions: halving, one-shot, punctures, avoidance."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from intervalgames.sets import (
     closed,
     is_discrete,
     is_disjoint,
+    normalize,
     parse_rset,
     refines,
     union_all,
@@ -167,7 +169,9 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
     """A machine-independent cost gate on the seed-1 benchmark match
     `main-compact` vs `halving` (ambient [1/5,2], budget 25): one union
     check per refined piece and one discreteness certificate per step."""
-    counts = {"union checks": 0, "certificates": 0, "pieces": 0, "steps": 0}
+    counts = {
+        "union checks": 0, "certificates": 0, "pieces": 0, "steps": 0, "holding": 0
+    }
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -188,6 +192,7 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
         two_strategies, "is_discrete", counting("certificates", two_strategies.is_discrete)
     )
     monkeypatch.setattr(two_strategies, "halving_step", step)
+    monkeypatch.setattr(Cover, "holding", counting("holding", Cover.holding))
     t = play(
         GameConfig(
             "discrete", parse_ordinal("w"), closed("1/5", 2), TargetSpec.full(),
@@ -195,8 +200,11 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
         )
     )
     assert t.verdict.outcome == "one-wins-certified"
+    # one whole-window `holding` per piece; the 1,752 pieces one member
+    # holds whole (M = 2) skip the per-cell fit check (5,627 calls before)
     assert counts == {
-        "union checks": 1777, "certificates": 25, "pieces": 1777, "steps": 25
+        "union checks": 1777, "certificates": 25, "pieces": 1777, "steps": 25,
+        "holding": 2123,
     }
 
 
@@ -402,6 +410,83 @@ def test_greedy_bot_is_legal_and_nontrivial():
         assert cert.min_gap is None or cert.min_gap > 0
         ok, _ = refines(fam, cover.members)
         assert ok
+
+
+def fraction_greedy(cover: Cover) -> list[RSet]:
+    """`GreedyTwo`'s rule at the definition level, on Fractions: the
+    middle half of every positive-length component, tried by (-length,
+    lo, hi), kept when a positive gap separates it from every kept one."""
+    cands = []
+    for m in cover.members:
+        for c in m.components:
+            if c.length > 0:
+                q = c.length / 4
+                cands.append(Interval(c.lo + q, c.hi - q, True, True))
+    cands.sort(key=lambda c: (-c.length, c.lo, c.hi))
+    accepted: list[Interval] = []  # kept sorted by lo
+    los: list[F] = []
+    for c in cands:
+        pos = bisect_left(los, c.lo)
+        ok = True
+        if pos < len(accepted) and accepted[pos].lo - c.hi <= 0:
+            ok = False
+        if pos > 0 and c.lo - accepted[pos - 1].hi <= 0:
+            ok = False
+        if ok:
+            accepted.insert(pos, c)
+            los.insert(pos, c.lo)
+    return [RSet((c,)) for c in accepted]
+
+
+def random_component(rng: random.Random, ambient: Interval) -> Interval:
+    """A point or an interval with random ends, reaching past the ambient."""
+    den = rng.choice([1, 2, 3, 5, 7, 8, 12, 16])
+    lo = ambient.lo + ambient.length * F(rng.randint(-den, 5 * den), 4 * den)
+    if rng.random() < 0.2:
+        return Interval(lo, lo, False, False)
+    hi = lo + ambient.length * F(rng.randint(1, 2 * den), 4 * den)
+    return Interval(lo, hi, rng.random() < 0.7, rng.random() < 0.7)
+
+
+def test_greedy_matches_the_fraction_selection():
+    """Seeded covers whose members have 1-3 components (points, open and
+    closed ends, parts past the ambient, repeated members) and every
+    grid of index 1..7 on three ambients."""
+    rng = random.Random(1414)
+    for _ in range(300):
+        ambient = random_target(rng)
+        members = [RSet((Interval(ambient.lo - 1, ambient.hi + 1, True, True),))]
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.15:
+                members.append(rng.choice(members))
+            else:
+                k = rng.randint(1, 3)
+                members.append(normalize(random_component(rng, ambient) for _ in range(k)))
+        rng.shuffle(members)
+        cover = Cover(RSet((ambient,)), tuple(members))
+        assert GreedyTwo(ambient).respond(0, cover) == fraction_greedy(cover), cover
+    for ambient in (closed(0, 1), closed("1/5", 2), closed("-2/3", "9/7")):
+        for n in range(1, 8):
+            cover = ball_cover(n, ambient)
+            assert GreedyTwo(ambient).respond(0, cover) == fraction_greedy(cover), cover
+
+
+def test_greedy_builds_intervals_only_for_the_members_it_keeps(monkeypatch):
+    """A cost gate: of the 257 grid components GreedyTwo keeps 128, and
+    it builds one `Interval` per kept candidate, none for the others."""
+    cover = ball_cover(6, closed("1/5", 2))
+    assert len(cover.members) == 257  # built before counting
+    built = [0]
+    post_init = Interval.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting)
+    family = GreedyTwo(cover.ambient).respond(0, cover)
+    assert len(family) == 128
+    assert built[0] == 128
 
 
 def test_largest_component_tie_breaks_leftmost():
