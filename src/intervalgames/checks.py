@@ -67,15 +67,16 @@ def random_cover(rng: random.Random, target: Interval, extra: bool = True) -> Co
         mid = a + length * F(rng.randint(1, 7), 8)
         members.append(RSet.interval(mid - length / 8, mid + length / 8))
     rng.shuffle(members)
-    return Cover(RSet((target,)), tuple(members))
+    return Cover(tuple(members))
 
 
 def suite_lebesgue(seed: int, cases: int) -> SuiteResult:
     rng = random.Random(seed)
     for i in range(cases):
-        cover = random_cover(rng, random_target(rng))
-        d = lebesgue_number(cover)
-        if d <= 0 or not verify_lebesgue(cover, d):
+        t = random_target(rng)
+        cover = random_cover(rng, t)
+        d = lebesgue_number(cover, t)
+        if d <= 0 or not verify_lebesgue(cover, t, d):
             return SuiteResult("lebesgue", i, False, f"cover={cover.members}")
     return SuiteResult("lebesgue", cases, True)
 
@@ -83,10 +84,10 @@ def suite_lebesgue(seed: int, cases: int) -> SuiteResult:
 def suite_halving(seed: int, cases: int) -> SuiteResult:
     rng = random.Random(seed)
     for i in range(cases):
-        cover = random_cover(rng, random_target(rng))
-        t = cover.target.components[0]
-        fam, residual = halving_refinement(cover)
-        sup = window_supremum(cover)
+        t = random_target(rng)
+        cover = random_cover(rng, t)
+        fam, residual = halving_refinement(cover, t, t)
+        sup = window_supremum(cover, t)
         if sum((r.length for r in residual), F(0)) != t.length / 2:
             return SuiteResult("halving", i, False, f"bad residual for {cover.members}")
         if any(m.measure() >= sup for m in fam.members):

@@ -186,7 +186,7 @@ def demo_omega_plus_one() -> bool:
 def demo_cantor() -> bool:
     print("claim: a closed middle-thirds set is covered by one discrete move")
     spec = CantorSpec(AMBIENT)
-    cover = Cover(RSet((AMBIENT,)), (parse_rset("(-1/8,1/2)"), parse_rset("(1/4,9/8)")))
+    cover = Cover((parse_rset("(-1/8,1/2)"), parse_rset("(1/4,9/8)")))
     level = cantor_fattening_level(cover, spec)
     fam = cantor_one_shot(cover, spec)
     ok = _check(
@@ -465,8 +465,7 @@ def cmd_interactive(args, stdin=None) -> int:
                     print("resigned")
                     return EXIT_OK
                 try:
-                    members = _parse_family(line)
-                    cover = validate_cover(members, target, ambient)
+                    cover = validate_cover(Cover(_parse_family(line)), target, ambient)
                 except ValueError as exc:
                     print(f"  cannot parse: {exc}")
                     print(f"  {GRAMMAR_HINT}")

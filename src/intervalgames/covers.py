@@ -1,13 +1,12 @@
 """Covers of compact intervals and exact Lebesgue window lengths.
 
-A `Cover` pairs a closed target RSet with the open member sets that
-jointly contain it.  For a closed interval inside the members' union
-(by default a single-interval target) the module computes the exact
+A `Cover` is a finite family of nonempty member sets.  Every window
+query names the closed interval [a, b] it asks about, which must lie
+inside the members' union.  On it the module computes the exact
 supremum of window lengths d such that every closed window [x, x+d]
-inside it fits in a single member.  It verifies candidate window
-lengths on the target with an explicit counterexample window on
-failure, and builds the overlapping dyadic grid covers used by
-oblivious players.
+inside it fits in a single member, verifies candidate window lengths
+with an explicit counterexample window on failure, and builds the
+overlapping dyadic grid covers used by oblivious players.
 """
 
 from __future__ import annotations
@@ -24,20 +23,19 @@ from .sets import Interval, RSet, normalize, rat, union_all
 
 
 class CoverError(ValueError):
-    """The proposed cover is malformed or does not cover its target."""
+    """The proposed cover is malformed or does not cover a queried window."""
 
 
 @dataclass(frozen=True)
 class Cover:
-    """A finite cover of a closed target by nonempty sets.
+    """A finite family of nonempty sets, with their `union` and a point
+    index over their components.
 
-    The constructor checks that members are nonempty and that their
-    union, kept as `union`, contains the target exactly.  Openness of
-    members is a game concern and is validated by the referee against
-    the game's ambient interval, not here.
+    What the members must cover is the game's target, which the referee
+    checks; openness of members is validated against the game's ambient
+    interval, also by the referee.
     """
 
-    target: RSet
     members: tuple[RSet, ...]
     union: RSet = field(init=False, repr=False, compare=False)
     _index: tuple = field(init=False, repr=False, compare=False)
@@ -48,11 +46,6 @@ class Cover:
             if m.is_empty:
                 raise CoverError(f"cover member {i} is empty")
         object.__setattr__(self, "union", union_all(self.members))
-        missing = self.target.subtract(self.union)
-        if not missing.is_empty:
-            raise CoverError(
-                f"members do not cover the target; uncovered part: {missing}"
-            )
         object.__setattr__(self, "_index", _point_index(self.members))
 
     def member(self, i: int) -> RSet:
@@ -130,29 +123,26 @@ def _point_index(members: Sequence[RSet]) -> tuple:
     return comps, tuple(c.lo for c, _ in comps), tuple(max_hi_prefix)
 
 
-def _target_interval(cover: Cover, part: Optional[Interval] = None) -> Interval:
-    """The closed interval [a, b] a query asks about: `part`, by default
-    the cover's target.  It must lie inside the cover's proven union, so
-    the members touching it cover it."""
-    target = cover.target if part is None else RSet((part,))
-    comps = target.components
-    if len(comps) != 1 or comps[0].lo_open or comps[0].hi_open:
+def _target_interval(cover: Cover, part: Interval) -> Interval:
+    """The closed interval [a, b] a query asks about: `part`.  It must lie
+    inside the cover's union, so the members touching it cover it."""
+    if part.lo_open or part.hi_open:
         raise CoverError("target must be a single closed interval")
-    t = comps[0]
-    if t.length <= 0:
+    if part.length <= 0:
         raise CoverError("target must have positive length")
+    target = RSet((part,))
     if not target.is_subset(cover.union):
         missing = target.subtract(cover.union)
         raise CoverError(f"members do not cover the target; uncovered part: {missing}")
-    return t
+    return part
 
 
-def window_supremum(cover: Cover, part: Optional[Interval] = None) -> Fraction:
+def window_supremum(cover: Cover, part: Interval) -> Fraction:
     """Exact supremum d* of window lengths d in (0, L] such that every
     closed window [x, x+d] inside [a, b] lies in one member.
 
-    [a, b] is `part`, by default the cover's target; it must lie inside
-    the cover's union, and only the members touching it are read.
+    [a, b] is `part`; it must lie inside the cover's union, and only the
+    members touching it are read.
     Lengths strictly below d* are always admissible; d* itself may or
     may not be.  When one member holds all of [a, b], every window
     inside [a, b] lies in it, so d* = b - a and no sweep is made.
@@ -212,9 +202,9 @@ def _supremum_on(cover: Cover, t: Interval) -> Fraction:
     return best
 
 
-def lebesgue_number(cover: Cover, part: Optional[Interval] = None) -> Fraction:
-    """A verified Lebesgue number on `part` (by default the target): half
-    the exact window supremum.
+def lebesgue_number(cover: Cover, part: Interval) -> Fraction:
+    """A verified Lebesgue number on `part`: half the exact window
+    supremum.
 
     The supremum itself can fail (the admissible set is open on the
     right), so half of it is returned; verify_lebesgue always accepts
@@ -223,25 +213,25 @@ def lebesgue_number(cover: Cover, part: Optional[Interval] = None) -> Fraction:
     return window_supremum(cover, part) / 2
 
 
-def lebesgue_counterexample(cover: Cover, delta) -> Optional[Interval]:
-    """None if every closed window of length delta inside the target fits
-    in a single member; otherwise a failing window [x, x+delta].
+def lebesgue_counterexample(cover: Cover, part: Interval, delta) -> Optional[Interval]:
+    """None if every closed window of length delta inside [a, b] (`part`)
+    fits in a single member; otherwise a failing window [x, x+delta].
 
     Decided exactly: window starts form [a, b-delta], and the starts
     served by a member component (l, r) form (l, r-delta) with the same
-    end flags.
+    end flags.  Only members touching [a, b] can serve a start in it.
     """
     delta = rat(delta)
     if delta <= 0:
         raise CoverError("delta must be positive")
-    t = _target_interval(cover)
+    t = _target_interval(cover, part)
     a, b = t.lo, t.hi
     if b - delta < a:
-        return None  # no window of this length fits in the target
+        return None  # no window of this length fits in [a, b]
     required = RSet((Interval(a, b - delta, False, False),))
     starts = []
-    for m in cover.members:
-        for c in m.components:
+    for i in cover.members_touching(a, b):
+        for c in cover.member(i).components:
             hi = c.hi - delta
             if c.lo < hi or (c.lo == hi and not c.lo_open and not c.hi_open):
                 starts.append(Interval(c.lo, hi, c.lo_open, c.hi_open))
@@ -252,8 +242,8 @@ def lebesgue_counterexample(cover: Cover, delta) -> Optional[Interval]:
     return Interval(x, x + delta, False, False)
 
 
-def verify_lebesgue(cover: Cover, delta) -> bool:
-    return lebesgue_counterexample(cover, delta) is None
+def verify_lebesgue(cover: Cover, part: Interval, delta) -> bool:
+    return lebesgue_counterexample(cover, part, delta) is None
 
 
 class GridCover(Cover):
@@ -261,8 +251,8 @@ class GridCover(Cover):
 
     With h = len(ambient) * 2^-(n+2) (`step`), member k, for k = 0..2^(n+2),
     is the trace of ((k-1)h, (k+1)h) on the ambient: relatively open,
-    nonempty, and closed exactly where the ambient's ends cut it.  The
-    members cover the ambient, which is both the target and the union.
+    nonempty, and closed exactly where the ambient's ends cut it.  Their
+    union is the ambient.
 
     Answered in closed form from n and the ambient: `member(k)`,
     `members_touching`, `members_containing_point`, `holding`, the
@@ -278,14 +268,12 @@ class GridCover(Cover):
         if ambient.lo_open or ambient.hi_open or ambient.length <= 0:
             raise ValueError("grid ambient must be a closed interval of positive length")
         last = 2 ** (n + 2)
-        box = RSet((ambient,))
         for name, value in (
             ("n", n),
             ("ambient", ambient),
             ("last", last),
             ("step", ambient.length / last),
-            ("target", box),
-            ("union", box),
+            ("union", RSet((ambient,))),
         ):
             object.__setattr__(self, name, value)
 
@@ -379,9 +367,9 @@ def ball_cover(n: int, ambient: Interval | None = None) -> GridCover:
     return GridCover(n, ambient)
 
 
-def chain_subcover(cover: Cover, part: Optional[Interval] = None) -> list[int]:
-    """A minimal left-to-right chain of member indices covering [a, b]:
-    `part`, by default the cover's target, inside the cover's union.
+def chain_subcover(cover: Cover, part: Interval) -> list[int]:
+    """A minimal left-to-right chain of member indices covering [a, b]
+    (`part`) inside the cover's union.
 
     Only members touching [a, b] are read, and those whose trace on it
     is empty are skipped; every other trace must be a single interval,

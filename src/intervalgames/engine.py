@@ -108,24 +108,10 @@ class TargetSpec:
             return cls.closed(parse_rset(s.partition(":")[2]))
         raise ConfigError(f"unknown target {text!r}")
 
-    def inclusion_part(self, ambient: Interval) -> RSet:
-        """The part of the target a cover must contain as a set.
-
-        The whole ambient for full targets, and for the rationals: a
-        finite union of rational-endpoint sets that misses part of the
-        ambient misses a rational.  Other point-set targets have none.
-        """
-        if self.kind == "closed":
-            return self.rset
-        if self.kind == "full" or (
-            self.kind == "countable" and self.param == "rationals"
-        ):
-            return RSet((ambient.closure(),))
-        return RSet.empty()
-
     def measured_set(self, ambient: Interval) -> RSet:
-        """The set whose uncovered part a certificate and `interactive`
-        measure: a closed target's own set, the ambient for the others."""
+        """A closed target's own set, the ambient for the others: what a
+        full or closed target's covers must contain, and whose uncovered
+        part a certificate and `interactive` measure."""
         if self.kind == "closed":
             return self.rset
         return RSet((ambient.closure(),))
@@ -149,7 +135,7 @@ class TargetSpec:
             pt = CantorSpec(ambient.closure()).uncovered_point(union, box)
             return None if pt is None else {"uncovered_point": str(pt)}
         if self.kind in ("full", "closed"):
-            missing = self.inclusion_part(ambient).subtract(union)
+            missing = self.measured_set(ambient).subtract(union)
             return None if missing.is_empty else {"uncovered": str(missing)}
         if materialized is not None:
             points = self.enumerated_points(ambient, materialized)
@@ -282,38 +268,26 @@ class Transcript:
 # --- move validation ---------------------------------------------------------
 
 
-def validate_cover(
-    proposed: Cover | Sequence[RSet], target: TargetSpec, ambient: Interval
-) -> Cover:
-    """Referee a cover-picking move: raw members or a proposed `Cover`.
+def validate_cover(proposed: Cover, target: TargetSpec, ambient: Interval) -> Cover:
+    """Referee a cover-picking move and return the proposed `Cover`.
 
-    Members must be nonempty and relatively open in the ambient, and
-    their union must contain the target.  A `GridCover` of this very
-    ambient meets the first two by construction, and a proposed `Cover`
-    brings its union, so neither is computed again.  A proposed `Cover`
-    is returned as it was proposed; raw members become a `Cover` whose
-    own target is the exact set-inclusion part of the requirement.
+    There must be at least one member, every member must be relatively
+    open in the ambient, and their union must contain the target.  The
+    `Cover` itself refuses an empty member and brings its union; a
+    `GridCover` of this very ambient is open by construction.
     """
-    if not isinstance(proposed, Cover):
-        proposed = tuple(proposed)
     if not (isinstance(proposed, GridCover) and proposed.ambient == ambient):
-        members = proposed.members if isinstance(proposed, Cover) else proposed
-        if not members:
+        if not proposed.members:
             raise IllegalMove("one", "EmptyCover", {})
-        for i, m in enumerate(members):
-            if m.is_empty:
-                raise IllegalMove("one", "EmptyMember", {"member": i})
+        for i, m in enumerate(proposed.members):
             if not m.is_relatively_open(ambient):
                 raise IllegalMove(
                     "one", "NotOpen", {"member": i, "set": str(m)}
                 )
-    union = proposed.union if isinstance(proposed, Cover) else union_all(proposed)
-    witness = target.uncovered(union, ambient)
+    witness = target.uncovered(proposed.union, ambient)
     if witness is not None:
         raise IllegalMove("one", "IncompleteCover", witness)
-    if isinstance(proposed, Cover):
-        return proposed
-    return Cover(target.inclusion_part(ambient), proposed)
+    return proposed
 
 
 def referee_step(

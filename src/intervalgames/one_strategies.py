@@ -44,7 +44,7 @@ def avoid_cover(o: Interval, ambient: Interval) -> Cover:
     box = RSet((ambient.closure(),))
     m1 = box.subtract(RSet((block1,)))
     m2 = box.subtract(RSet((block2,)))
-    return Cover(box, (m1, m2))
+    return Cover((m1, m2))
 
 
 @dataclass

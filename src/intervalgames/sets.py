@@ -21,8 +21,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
 
-Rational = Fraction
-
 
 def rat(value) -> Fraction:
     """Coerce ints, strings like '3/8' and Fractions to an exact rational."""

@@ -48,37 +48,35 @@ def smallest_even_grid(length: Fraction, sup: Fraction) -> int:
 
 
 def halving_refinement(
-    cover: Cover, piece: Optional[Interval] = None, ambient: Optional[Interval] = None
+    cover: Cover, piece: Interval, ambient: Interval
 ) -> tuple[DiscreteFamily, list[Interval]]:
     """Refine a cover on a closed interval, covering exactly half of it.
 
-    Cuts [a, b] (`piece`, by default the cover's target) into the
-    smallest even number M of equal cells shorter than the cover's exact
-    window supremum on [a, b], keeps the odd-indexed open
-    cells as a discrete family, and returns the even-indexed closed
-    cells as the residual, in order: their lengths add up to exactly
-    (b-a)/2.  Every cell is shorter than the window supremum, so each
-    closed cell fits inside a single cover member.  When one member
-    holds all of [a, b], M = 2 and that member holds both cells;
-    otherwise the fit is asserted per cell.  [a, b] must lie in the
-    cover's union (`CoverError` if not).
+    Cuts [a, b] (`piece`) into the smallest even number M of equal
+    cells shorter than the cover's exact window supremum on [a, b],
+    keeps the odd-indexed open cells as a discrete family, and returns
+    the even-indexed closed cells as the residual, in order: their
+    lengths add up to exactly (b-a)/2.  Every cell is shorter than the
+    window supremum, so each closed cell fits inside a single cover
+    member.  When one member holds all of [a, b], M = 2 and that member
+    holds both cells; otherwise the fit is asserted per cell.  [a, b]
+    must lie in the cover's union (`CoverError` if not).
 
     The right endpoint b belongs to the last (odd) cell.  When b is the
-    right end of the `ambient` interval (by default [a, b] itself) that
-    cell is taken relatively open, (g, b]; otherwise (g, b] would
-    not be open in the ambient, so the cell stays (g, b) and the point
-    b joins the residual as a degenerate closed piece, to be absorbed
-    by a later fattening move.
+    right end of the `ambient` interval that cell is taken relatively
+    open, (g, b]; otherwise (g, b] would not be open in the ambient, so
+    the cell stays (g, b) and the point b joins the residual as a
+    degenerate closed piece, to be absorbed by a later fattening move.
     """
     members, residual = _halve(cover, _target_interval(cover, piece), ambient)
     return is_discrete(members), residual
 
 
 def _halve(
-    cover: Cover, t: Interval, ambient: Optional[Interval]
+    cover: Cover, t: Interval, ambient: Interval
 ) -> tuple[list[RSet], list[Interval]]:
     """`halving_refinement`'s cells on a checked [a, b], uncertified."""
-    at_boundary = ambient is None or t.hi == ambient.hi
+    at_boundary = t.hi == ambient.hi
     # a member holding all of [a, b] gives supremum b - a, so M = 2, and
     # it holds both cells; otherwise each cell's fit is checked
     held = cover.holding(t.lo, t.hi) is not None
@@ -121,7 +119,7 @@ class HalvingState:
 
 
 def halving_step(
-    state: HalvingState, cover: Cover, ambient: Optional[Interval] = None
+    state: HalvingState, cover: Cover, ambient: Interval
 ) -> tuple[DiscreteFamily, HalvingState]:
     """Apply the halving refinement to every residual cell against one cover.
 
@@ -284,10 +282,10 @@ def countable_target_move(
 
 
 def chain_puncture_refinement(
-    cover: Cover, part: Optional[Interval] = None
+    cover: Cover, part: Interval
 ) -> tuple[list[RSet], list[Fraction]]:
     """Disjoint (not discrete) family covering all but finitely many points
-    of [a, b]: `part`, by default the cover's target.
+    of [a, b] (`part`).
 
     From a left-to-right chain of the cover on [a, b], split [a, b] at the
     midpoints of consecutive overlaps.  Members are pairwise disjoint
@@ -314,7 +312,7 @@ def chain_puncture_refinement(
 
 
 def puncture_cleanup(
-    punctures: Sequence[Fraction], cover: Cover, ambient: Optional[Interval] = None
+    punctures: Sequence[Fraction], cover: Cover, ambient: Interval
 ) -> DiscreteFamily:
     """Second inning of the two-inning disjoint-ruleset win: one small
     interval per puncture, inside a member of the new cover, with
@@ -322,7 +320,7 @@ def puncture_cleanup(
     pts = sorted(rat(p) for p in punctures)
     if not pts:
         return is_discrete([])
-    t = ambient.closure() if ambient is not None else _target_interval(cover)
+    t = ambient.closure()
     gaps = [q - p for p, q in zip(pts, pts[1:])]
     members = []
     for i, p in enumerate(pts):
@@ -465,9 +463,8 @@ class HalvingTwo(TwoBot):
 class HalvingOmegaPlusOneTwo(HalvingTwo):
     """Halving with the limit-stage finisher: once the limit cover is
     revealed, request extension innings until every residual cell is
-    shorter than its Lebesgue number, then fatten the cells away.  The
-    cover is asked for the number on the whole ambient, where the
-    residual cells lie, whatever target it carries."""
+    shorter than its Lebesgue number on the ambient, then fatten the
+    cells away."""
 
     def at_limit(self, cover: Cover):
         delta = lebesgue_number(cover, self.ambient)
@@ -500,11 +497,8 @@ class CountableTargetTwo(TwoBot):
 
 
 class ChainPunctureTwo(TwoBot):
-    """Two-inning disjoint-ruleset winner: puncture, then clean up.
-
-    The chain is asked for on the whole ambient, whatever target the
-    cover carries: a cover validated from raw members carries only the
-    inclusion part of the target, empty for point-set targets."""
+    """Two-inning disjoint-ruleset winner: puncture, then clean up,
+    both on the whole ambient."""
 
     def __init__(self, ambient: Interval):
         super().__init__(ambient)

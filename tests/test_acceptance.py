@@ -61,7 +61,7 @@ def test_criterion_01_halving_refinement():
     for _ in range(500):
         target = random_target(rng)
         cover = random_cover(rng, target)
-        family, residual = halving_refinement(cover)
+        family, residual = halving_refinement(cover, target, target)
         is_discrete(list(family.members))
         ok, witnesses = refines(list(family.members), cover.members)
         assert ok and all(w is not None for w in witnesses)
@@ -226,17 +226,16 @@ def test_criterion_08_witness_radius_decay():
 def test_criterion_09_lebesgue_validity():
     rng = random.Random(909)
     for _ in range(500):
-        cover = random_cover(rng, random_target(rng))
-        d = lebesgue_number(cover)
-        assert d > 0 and verify_lebesgue(cover, d)
+        target = random_target(rng)
+        cover = random_cover(rng, target)
+        d = lebesgue_number(cover, target)
+        assert d > 0 and verify_lebesgue(cover, target, d)
     from intervalgames.covers import Cover
 
-    example = Cover(
-        parse_rset("[0,1]"), (parse_rset("(-1/8,1/2)"), parse_rset("(1/4,9/8)"))
-    )
-    window = lebesgue_counterexample(example, F(1, 4))
+    example = Cover((parse_rset("(-1/8,1/2)"), parse_rset("(1/4,9/8)")))
+    window = lebesgue_counterexample(example, AMBIENT, F(1, 4))
     assert window == Interval(F(1, 4), F(1, 2), False, False)
-    assert verify_lebesgue(example, F(1, 8))
+    assert verify_lebesgue(example, AMBIENT, F(1, 8))
     print("[criterion-09] PASS lebesgue validity on 500 covers + fixed pair")
 
 

@@ -351,7 +351,7 @@ def test_interactive_grid_cover_listing_is_pinned(monkeypatch, capsys):
 
 
 def test_interactive_as_one_validates_cover(monkeypatch, capsys):
-    stdin_text = "(0,1/2)\n[0,1/2);(1/4,1]\nquit\n"
+    stdin_text = "(0,1/2)\nempty\n[0,1/2];(1/4,1]\n[0,1/2);(1/4,1]\nquit\n"
     code = run_cli(
         "interactive", "--as", "one", "--two", "halving", "--innings", "2",
         stdin_text=stdin_text, monkeypatch=monkeypatch,
@@ -359,6 +359,10 @@ def test_interactive_as_one_validates_cover(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "IncompleteCover" in out  # first cover misses part of [0,1]
+    assert "rejected (EmptyCover)" in out
+    assert "rejected (NotOpen)" in out  # [0,1/2] is closed at 1/2
+    # each rejection prompts for inning 0 again
+    assert out.count("inning 0, your cover> ") == 4
     assert "opponent family" in out
 
 

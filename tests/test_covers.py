@@ -34,26 +34,27 @@ from intervalgames.sets import (
     union_all,
 )
 
-from conftest import random_cover, random_target
+from conftest import random_cover, random_target, refuse_grid_members
 
 
 def rs(text: str) -> RSet:
     return parse_rset(text)
 
 
-def cover_of(target_text: str, *member_texts: str) -> Cover:
-    return Cover(rs(target_text), tuple(rs(t) for t in member_texts))
+def cover_of(*member_texts: str) -> Cover:
+    return Cover(tuple(rs(t) for t in member_texts))
 
 
-EXAMPLE = cover_of("[0,1]", "(-1/8,1/2)", "(1/4,9/8)")
+UNIT = closed(0, 1)
+EXAMPLE = cover_of("(-1/8,1/2)", "(1/4,9/8)")
 
 
 # --- independent oracles -----------------------------------------------------
 
 
-def brute_verify(cover: Cover, delta: F) -> bool:
-    """Window-by-window validity scan over all critical start points."""
-    t = cover.target.components[0]
+def brute_verify(cover: Cover, t: Interval, delta: F) -> bool:
+    """Window-by-window validity scan over all critical start points of
+    windows inside t."""
     a, b = t.lo, t.hi
     if b - delta < a:
         return True
@@ -74,10 +75,10 @@ def brute_verify(cover: Cover, delta: F) -> bool:
     return True
 
 
-def brute_window_supremum(cover: Cover) -> F:
-    """Candidate-difference sweep: validity can only flip at differences
-    of endpoints, and is monotone, so test candidates and midpoints."""
-    t = cover.target.components[0]
+def brute_window_supremum(cover: Cover, t: Interval) -> F:
+    """Candidate-difference sweep on t: validity can only flip at
+    differences of endpoints, and is monotone, so test candidates and
+    midpoints."""
     a, b = t.lo, t.hi
     cap = b - a
     endpoints = {a, b}
@@ -93,7 +94,7 @@ def brute_window_supremum(cover: Cover) -> F:
         | {(x + y) / 2 for x, y in zip(cands, cands[1:])}
         | {cands[0] / 2}
     )
-    valid = [p for p in probes if brute_verify(cover, p)]
+    valid = [p for p in probes if brute_verify(cover, t, p)]
     if not valid:
         raise AssertionError("no valid window length at all")
     q = max(valid)
@@ -131,63 +132,64 @@ def mixed_cover(rng: random.Random, target: Interval) -> Cover:
                 normalize(Interval(c.lo - unit, c.hi + unit) for c in missing.components)
             )
     rng.shuffle(members)
-    return Cover(box, tuple(members))
+    return Cover(tuple(members))
 
 
 # --- worked examples ---------------------------------------------------------
 
 
 def test_window_supremum_worked_example():
-    assert window_supremum(EXAMPLE) == F(1, 4)
-    assert lebesgue_number(EXAMPLE) == F(1, 8)
+    assert window_supremum(EXAMPLE, UNIT) == F(1, 4)
+    assert lebesgue_number(EXAMPLE, UNIT) == F(1, 8)
 
 
 def test_windows_left_of_a_closed_start_inside_the_target_count():
     # windows [x, x+d] with x just left of 1/4 fit only in (-1,3/8)
-    c = cover_of("[0,1]", "(-1,3/8)", "[1/4,2)")
-    assert window_supremum(c) == F(1, 8) == brute_window_supremum(c)
-    assert verify_lebesgue(c, lebesgue_number(c))
+    c = cover_of("(-1,3/8)", "[1/4,2)")
+    assert window_supremum(c, UNIT) == F(1, 8) == brute_window_supremum(c, UNIT)
+    assert verify_lebesgue(c, UNIT, lebesgue_number(c, UNIT))
 
 
 def test_lebesgue_single_member_capped_by_target_length():
-    c = cover_of("[0,1]", "(-1,2)")
-    assert window_supremum(c) == 1
-    assert lebesgue_number(c) == F(1, 2)
-    assert verify_lebesgue(c, 1)
+    c = cover_of("(-1,2)")
+    assert window_supremum(c, UNIT) == 1
+    assert lebesgue_number(c, UNIT) == F(1, 2)
+    assert verify_lebesgue(c, UNIT, 1)
 
 
 def test_lebesgue_three_member_example():
-    c = cover_of("[0,1]", "(-1/8,3/8)", "(1/4,5/8)", "(1/2,9/8)")
-    d = lebesgue_number(c)
+    c = cover_of("(-1/8,3/8)", "(1/4,5/8)", "(1/2,9/8)")
+    d = lebesgue_number(c, UNIT)
     assert d > 0
-    assert verify_lebesgue(c, d)
+    assert verify_lebesgue(c, UNIT, d)
 
 
 def test_verify_counterexample_window():
-    window = lebesgue_counterexample(EXAMPLE, F(1, 4))
+    window = lebesgue_counterexample(EXAMPLE, UNIT, F(1, 4))
     assert window == Interval(F(1, 4), F(1, 2), False, False)
-    assert verify_lebesgue(EXAMPLE, F(1, 8))
+    assert verify_lebesgue(EXAMPLE, UNIT, F(1, 8))
 
 
 def test_verify_rejects_nonpositive_delta():
     with pytest.raises(CoverError):
-        verify_lebesgue(EXAMPLE, 0)
+        verify_lebesgue(EXAMPLE, UNIT, 0)
 
 
 def test_cover_requires_coverage():
-    with pytest.raises(CoverError):
-        cover_of("[0,1]", "(0,1/2)")  # misses 0 and [1/2,1]
+    c = cover_of("(0,1/2)")  # misses 0 and [1/2,1]
+    with pytest.raises(CoverError, match="uncovered part"):
+        window_supremum(c, UNIT)
 
 
 def test_point_components_cannot_serve_windows():
     # adjacent point merges away during canonicalization: ordinary cover
-    c = cover_of("[0,1]", "[0,3/4);[3/4,3/4]", "(1/2,1]")
-    assert window_supremum(c) == F(1, 4)
-    assert verify_lebesgue(c, window_supremum(c) / 2)
+    c = cover_of("[0,3/4);[3/4,3/4]", "(1/2,1]")
+    assert window_supremum(c, UNIT) == F(1, 4)
+    assert verify_lebesgue(c, UNIT, window_supremum(c, UNIT) / 2)
     # an isolated point plugs the coverage hole at 3/4 but serves no
     # window, so every window straddling 3/4 fails: no admissible length
     with pytest.raises(CoverError):
-        window_supremum(cover_of("[0,1]", "[0,5/8);[3/4,3/4]", "(1/2,3/4);(3/4,1]"))
+        window_supremum(cover_of("[0,5/8);[3/4,3/4]", "(1/2,3/4);(3/4,1]"), UNIT)
 
 
 # --- oracle agreement on seeded covers -----------------------------------------
@@ -196,23 +198,25 @@ def test_point_components_cannot_serve_windows():
 def test_window_supremum_matches_oracles_on_seeded_covers():
     rng = random.Random(1105)
     for _ in range(120):
-        cover = random_cover(rng, random_target(rng))
-        sup = window_supremum(cover)
-        assert sup == brute_window_supremum(cover)
-        assert verify_lebesgue(cover, sup / 2)
-        assert brute_verify(cover, sup / 2)
+        t = random_target(rng)
+        cover = random_cover(rng, t)
+        sup = window_supremum(cover, t)
+        assert sup == brute_window_supremum(cover, t)
+        assert verify_lebesgue(cover, t, sup / 2)
+        assert brute_verify(cover, t, sup / 2)
     rng = random.Random(1106)
     for _ in range(240):
-        cover = mixed_cover(rng, random_target(rng))
+        t = random_target(rng)
+        cover = mixed_cover(rng, t)
         try:
-            sup = window_supremum(cover)
+            sup = window_supremum(cover, t)
         except CoverError:
             with pytest.raises(AssertionError, match="no valid window length"):
-                brute_window_supremum(cover)
+                brute_window_supremum(cover, t)
             continue
-        assert sup == brute_window_supremum(cover), cover
-        assert verify_lebesgue(cover, sup / 2)
-        assert brute_verify(cover, sup / 2)
+        assert sup == brute_window_supremum(cover, t), cover
+        assert verify_lebesgue(cover, t, sup / 2)
+        assert brute_verify(cover, t, sup / 2)
 
 
 def test_window_held_by_one_member_has_supremum_its_length():
@@ -236,8 +240,7 @@ def test_window_held_by_one_member_has_supremum_its_length():
                 continue
             piece = Interval(x, y, False, False)
             assert cover.holding(x, y) is not None
-            ref = Cover(RSet((piece,)), tuple(cover.members))
-            assert window_supremum(cover, piece) == y - x == brute_window_supremum(ref)
+            assert window_supremum(cover, piece) == y - x == brute_window_supremum(cover, piece)
             checked += 1
     assert checked >= 100
 
@@ -245,23 +248,41 @@ def test_window_held_by_one_member_has_supremum_its_length():
 def test_verify_matches_brute_scan_on_seeded_pairs():
     rng = random.Random(2218)
     for _ in range(80):
-        cover = random_cover(rng, random_target(rng))
-        sup = window_supremum(cover)
+        t = random_target(rng)
+        cover = random_cover(rng, t)
+        sup = window_supremum(cover, t)
         for delta in (sup / 3, sup / 2, sup, sup * 2):
-            assert verify_lebesgue(cover, delta) == brute_verify(cover, delta)
+            assert verify_lebesgue(cover, t, delta) == brute_verify(cover, t, delta)
     rng = random.Random(2219)
     for _ in range(160):
-        cover = mixed_cover(rng, random_target(rng))
-        length = cover.target.measure()
+        t = random_target(rng)
+        cover = mixed_cover(rng, t)
+        length = t.length
         try:
-            sup = window_supremum(cover)
+            sup = window_supremum(cover, t)
         except CoverError:
             sup = None
         deltas = (length / 16, length / 3) if sup is None else (sup / 3, sup / 2, sup, sup * 2)
         for delta in deltas:
-            assert verify_lebesgue(cover, delta) == brute_verify(cover, delta), cover
+            assert verify_lebesgue(cover, t, delta) == brute_verify(cover, t, delta), cover
         if sup is not None:
-            assert verify_lebesgue(cover, sup / 2)
+            assert verify_lebesgue(cover, t, sup / 2)
+
+
+def test_lebesgue_verifier_reads_only_the_window(monkeypatch):
+    """On a grid the verifier asks for the members touching the window,
+    so it answers without building the grid's member tuple."""
+    grid = ball_cover(6, closed("1/5", 2))
+    ref = Cover(grid.members)
+    queries = [
+        (verify_lebesgue, grid.ambient, grid.step / 2),
+        (lebesgue_counterexample, grid.ambient, grid.step),
+        (lebesgue_counterexample, closed("1/3", "3/4"), 3 * grid.step / 2),
+    ]
+    expected = [query(ref, part, delta) for query, part, delta in queries]
+    assert expected[0] is True and None not in expected[1:]
+    refuse_grid_members(monkeypatch)
+    assert [query(grid, part, delta) for query, part, delta in queries] == expected
 
 
 # --- grid covers -------------------------------------------------------------
@@ -332,7 +353,7 @@ def test_grid_cover_answers_match_a_generic_cover(ambient):
     for n in range(1, 7):
         grid = ball_cover(n, amb)
         assert isinstance(grid, GridCover)
-        ref = Cover(RSet((amb,)), grid.members)
+        ref = Cover(grid.members)
         h = grid.step
         count = len(ref.members)
         assert [grid.member(k) for k in range(count)] == list(ref.members)
@@ -364,8 +385,8 @@ def test_grid_cover_answers_match_a_generic_cover(ambient):
                 piece = Interval(lo, hi, False, False)
                 assert window_supremum(grid, piece) == window_supremum(ref, piece), (n, lo, hi)
 
-        assert window_supremum(grid) == window_supremum(ref) == h
-        assert lebesgue_number(grid) == lebesgue_number(ref)
+        assert window_supremum(grid, amb) == window_supremum(ref, amb) == h
+        assert lebesgue_number(grid, amb) == lebesgue_number(ref, amb)
 
         family = (
             [RSet.interval(p, q) for p, q in zip(grid_points, grid_points[1:])]
@@ -420,7 +441,7 @@ def test_window_queries_inside_the_union_prove_nothing_again(monkeypatch):
 def test_window_queries_outside_the_union_raise():
     outside = (
         (EXAMPLE, closed(1, 2)),
-        (Cover(RSet.empty(), (rs("(0,1/2)"), rs("(1/2,1)"))), closed(0, 1)),
+        (cover_of("(0,1/2)", "(1/2,1)"), UNIT),
     )
     for cover, part in outside:
         for query in (window_supremum, chain_subcover):
@@ -430,8 +451,7 @@ def test_window_queries_outside_the_union_raise():
 
 def test_proven_sub_covers_answer_like_generic_ones():
     """A window query on a piece inside the union answers as it does on
-    the sub-cover of the touching members, built and proved by the
-    checking constructor."""
+    the sub-cover of the members touching it."""
     rng = random.Random(7301)
     for _ in range(60):
         t = random_target(rng)
@@ -439,7 +459,7 @@ def test_proven_sub_covers_answer_like_generic_ones():
         lo = rnd_fraction(rng, t.lo, t.hi)
         piece = Interval(lo, rnd_fraction(rng, lo, t.hi), False, False)
         idxs = cover.members_touching(piece.lo, piece.hi)
-        ref = Cover(RSet((piece,)), tuple(cover.member(i) for i in idxs))
+        ref = Cover(tuple(cover.member(i) for i in idxs))
         h = piece.length / 4
         points = sorted([piece.lo + k * h for k in range(-1, 6)] + [piece.lo + h / 3])
         for x in points:
@@ -448,28 +468,28 @@ def test_proven_sub_covers_answer_like_generic_ones():
                     assert cover.holding(x, y) == ref.holding(x, y)
                     assert cover.holding(x, y) == holding_by_scan(ref, x, y)
         if piece.length > 0:
-            assert window_supremum(cover, piece) == window_supremum(ref)
-            assert lebesgue_number(cover, piece) == lebesgue_number(ref)
-            assert [idxs[i] for i in chain_subcover(ref)] == chain_subcover(cover, piece)
+            assert window_supremum(cover, piece) == window_supremum(ref, piece)
+            assert lebesgue_number(cover, piece) == lebesgue_number(ref, piece)
+            assert [idxs[i] for i in chain_subcover(ref, piece)] == chain_subcover(cover, piece)
 
 
 # --- chain subcover ----------------------------------------------------------
 
 
 def test_chain_drops_redundant_member():
-    c = cover_of("[0,1]", "(-1/8,1/2)", "(1/4,9/8)", "(1/3,2/3)")
-    assert chain_subcover(c) == [0, 1]
+    c = cover_of("(-1/8,1/2)", "(1/4,9/8)", "(1/3,2/3)")
+    assert chain_subcover(c, UNIT) == [0, 1]
 
 
 def test_chain_single_member():
-    assert chain_subcover(cover_of("[0,1]", "(-1,2)")) == [0]
+    assert chain_subcover(cover_of("(-1,2)"), UNIT) == [0]
     # a member touching the target only from outside has an empty trace
-    assert chain_subcover(cover_of("[0,1]", "(-1,2)", "(1,2)")) == [0]
+    assert chain_subcover(cover_of("(-1,2)", "(1,2)"), UNIT) == [0]
 
 
 def test_chain_three_members():
-    c = cover_of("[0,1]", "(-1/8,3/8)", "(1/4,5/8)", "(1/2,9/8)")
-    assert chain_subcover(c) == [0, 1, 2]
+    c = cover_of("(-1/8,3/8)", "(1/4,5/8)", "(1/2,9/8)")
+    assert chain_subcover(c, UNIT) == [0, 1, 2]
 
 
 def test_chain_property_on_seeded_covers():
@@ -478,7 +498,7 @@ def test_chain_property_on_seeded_covers():
     for _ in range(60):
         target = random_target(rng)
         cover = random_cover(rng, target, extra=False)
-        chain = chain_subcover(cover)
+        chain = chain_subcover(cover, target)
         clipped = [
             cover.members[i].intersect(RSet((target,))) for i in chain
         ]
@@ -491,7 +511,7 @@ def test_chain_property_on_seeded_covers():
 
 def test_chain_rejects_a_trace_closed_inside_the_target():
     with pytest.raises(CoverError, match="not relatively open"):
-        chain_subcover(cover_of("[0,1]", "(-1,1/2]", "(1/4,2)"))
+        chain_subcover(cover_of("(-1,1/2]", "(1/4,2)"), UNIT)
 
 
 def test_chain_links_are_irredundant_on_seeded_covers():
@@ -499,7 +519,7 @@ def test_chain_links_are_irredundant_on_seeded_covers():
     for _ in range(60):
         target = random_target(rng)
         cover = random_cover(rng, target, extra=True)
-        chain = chain_subcover(cover)
+        chain = chain_subcover(cover, target)
         for dropped in chain:
             rest = union_all([cover.members[i] for i in chain if i != dropped])
             assert not RSet((target,)).is_subset(rest)

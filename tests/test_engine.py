@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from intervalgames.cantor import CantorSpec
 from intervalgames import covers, engine, sets
-from intervalgames.covers import Cover, ball_cover, window_supremum
+from intervalgames.covers import Cover, CoverError, ball_cover, window_supremum
 from intervalgames.engine import (
     ConfigError,
     GameConfig,
@@ -36,7 +36,7 @@ def rs(text: str) -> RSet:
 
 
 def cover_of(*member_texts: str) -> Cover:
-    return Cover(rs("[0,1]"), tuple(rs(t) for t in member_texts))
+    return Cover(tuple(rs(t) for t in member_texts))
 
 
 def config(ruleset, length, one, two, target=None, budget=8) -> GameConfig:
@@ -62,7 +62,7 @@ CRITERION_02_SHA256 = "3b8c5315356df9a97f8f7377f64ad2714628f11cec703d1936607890b
 
 
 def test_referee_rejects_puncture_family_under_discrete_rules():
-    family, _ = chain_puncture_refinement(EXAMPLE)
+    family, _ = chain_puncture_refinement(EXAMPLE, AMBIENT)
     with pytest.raises(IllegalMove) as err:
         referee_step("discrete", EXAMPLE, family, AMBIENT)
     assert err.value.kind == "NotDiscrete"
@@ -70,7 +70,7 @@ def test_referee_rejects_puncture_family_under_discrete_rules():
 
 
 def test_referee_accepts_puncture_family_under_disjoint_rules():
-    family, _ = chain_puncture_refinement(EXAMPLE)
+    family, _ = chain_puncture_refinement(EXAMPLE, AMBIENT)
     checked = referee_step("disjoint", EXAMPLE, family, AMBIENT)
     assert checked.ruleset == "disjoint" and checked.min_gap is None
 
@@ -98,7 +98,7 @@ def test_referee_rejects_not_open_and_outside_members():
 
 
 def test_referee_rejections_revalidate():
-    family, punctures = chain_puncture_refinement(EXAMPLE)
+    family, punctures = chain_puncture_refinement(EXAMPLE, AMBIENT)
     with pytest.raises(IllegalMove) as err:
         referee_step("discrete", EXAMPLE, family, AMBIENT)
     i, j = err.value.detail["members"]
@@ -166,7 +166,7 @@ def covers_and_families(draw):
     if not missing.is_empty:
         widened = (Interval(c.lo - F(1, 16), c.hi + F(1, 16), True, True) for c in missing.components)
         members.append(normalize(widened).intersect(BOX))
-    cover = Cover(BOX, tuple(members))
+    cover = Cover(tuple(members))
     comps = [c for m in members for c in m.components]
     family, pieces = [], []
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
@@ -226,21 +226,24 @@ def test_referee_step_matches_definition_level_oracles(case, ruleset):
 
 def test_validate_cover_requires_coverage_and_openness():
     with pytest.raises(IllegalMove) as err:
-        validate_cover([rs("(0,1)")], TargetSpec.full(), AMBIENT)
+        validate_cover(cover_of("(0,1)"), TargetSpec.full(), AMBIENT)
     assert err.value.kind == "IncompleteCover"
     with pytest.raises(IllegalMove) as err:
-        validate_cover([rs("[1/4,3/4]"), rs("[0,1]")], TargetSpec.full(), AMBIENT)
+        validate_cover(cover_of("[1/4,3/4]", "[0,1]"), TargetSpec.full(), AMBIENT)
     assert err.value.kind == "NotOpen"
-    ok = validate_cover([rs("[0,1/2);(1/4,1]")], TargetSpec.full(), AMBIENT)
+    # an empty member is refused by the cover itself
+    with pytest.raises(CoverError, match="member 1 is empty"):
+        Cover((rs("[0,1]"), RSet.empty()))
+    ok = validate_cover(cover_of("[0,1/2);(1/4,1]"), TargetSpec.full(), AMBIENT)
     assert isinstance(ok, Cover)
 
 
 def test_validate_cover_checks_a_proposed_cover_object():
-    not_open = Cover(rs("[0,1]"), (rs("[1/4,3/4]"), rs("[0,1]")))
+    not_open = cover_of("[1/4,3/4]", "[0,1]")
     with pytest.raises(IllegalMove) as err:
         validate_cover(not_open, TargetSpec.full(), AMBIENT)
     assert err.value.kind == "NotOpen"
-    proposed = Cover(rs("[0,1]"), (rs("[0,1/2);(1/4,1]"),))
+    proposed = cover_of("[0,1/2);(1/4,1]")
     assert validate_cover(proposed, TargetSpec.full(), AMBIENT) is proposed
     # a proposed cover comes back as proposed on any target it covers
     assert validate_cover(proposed, TargetSpec.gdelta("rationals"), AMBIENT) is proposed
@@ -250,29 +253,29 @@ def test_validate_cover_for_countable_and_gdelta_targets():
     # a cover of the rationals by rational-endpoint sets must cover [0,1]
     with pytest.raises(IllegalMove):
         validate_cover(
-            [rs("[0,1/2)"), rs("(1/2,1]")], TargetSpec.countable("rationals"), AMBIENT
+            cover_of("[0,1/2)", "(1/2,1]"), TargetSpec.countable("rationals"), AMBIENT
         )
     # the same members do cover the irrationals and the triadic points
     validate_cover(
-        [rs("[0,1/2)"), rs("(1/2,1]")], TargetSpec.gdelta("rationals"), AMBIENT
+        cover_of("[0,1/2)", "(1/2,1]"), TargetSpec.gdelta("rationals"), AMBIENT
     )
     validate_cover(
-        [rs("[0,1/2)"), rs("(1/2,1]")], TargetSpec.countable("triadic"), AMBIENT
+        cover_of("[0,1/2)", "(1/2,1]"), TargetSpec.countable("triadic"), AMBIENT
     )
     # but removing a triadic point is caught
     with pytest.raises(IllegalMove):
         validate_cover(
-            [rs("[0,1/3)"), rs("(1/3,1]")], TargetSpec.countable("triadic"), AMBIENT
+            cover_of("[0,1/3)", "(1/3,1]"), TargetSpec.countable("triadic"), AMBIENT
         )
 
 
 def test_validate_cover_for_cantor_target():
     validate_cover(
-        [rs("(-1/8,2/5)"), rs("(3/5,9/8)")], TargetSpec.cantor(), AMBIENT
+        cover_of("(-1/8,2/5)", "(3/5,9/8)"), TargetSpec.cantor(), AMBIENT
     )
     with pytest.raises(IllegalMove) as err:
         validate_cover(
-            [rs("(-1/8,1/4)"), rs("(13/50,9/8)")], TargetSpec.cantor(), AMBIENT
+            cover_of("(-1/8,1/4)", "(13/50,9/8)"), TargetSpec.cantor(), AMBIENT
         )
     assert err.value.detail["uncovered_point"] == "1/4"
 
@@ -295,10 +298,10 @@ def test_grid_cover_of_another_ambient_gets_the_generic_checks(
     target, game_ambient, rejection
 ):
     """A grid cover proposed on an ambient it was not built for is judged
-    exactly as its members passed as a raw list."""
+    exactly as a generic `Cover` of its members."""
     grid = ball_cover(3, closed(F(1, 4), F(3, 4)))
     outcomes = []
-    for proposed in (grid, list(grid.members)):
+    for proposed in (grid, Cover(grid.members)):
         try:
             cover = validate_cover(proposed, target, game_ambient)
             outcomes.append((None, cover.members))
@@ -331,7 +334,7 @@ def test_grid_validation_work_does_not_grow_with_the_grid(monkeypatch):
         merged.clear()
         amb = closed(F(1, 5), 2)
         validate_cover(ball_cover(n, amb), TargetSpec.full(), amb)
-        window_supremum(ball_cover(n, amb))
+        window_supremum(ball_cover(n, amb), amb)
         return sum(merged)
 
     assert work(4) == work(13)
@@ -398,7 +401,7 @@ def test_incomplete_cover_witness_revalidates(target, ambient):
         ]
         union = union_all(members)
         try:
-            validate_cover(members, target, ambient)
+            validate_cover(Cover(tuple(members)), target, ambient)
             continue
         except IllegalMove as exc:
             assert exc.kind == "IncompleteCover"

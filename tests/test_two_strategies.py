@@ -50,12 +50,13 @@ def rs(text: str) -> RSet:
     return parse_rset(text)
 
 
-def cover_of(target_text: str, *member_texts: str) -> Cover:
-    return Cover(rs(target_text), tuple(rs(t) for t in member_texts))
+def cover_of(*member_texts: str) -> Cover:
+    return Cover(tuple(rs(t) for t in member_texts))
 
 
-EXAMPLE = cover_of("[0,1]", "(-1/8,1/2)", "(1/4,9/8)")
-TRIVIAL = cover_of("[0,1]", "(-1,2)")
+UNIT = closed(0, 1)
+EXAMPLE = cover_of("(-1/8,1/2)", "(1/4,9/8)")
+TRIVIAL = cover_of("(-1,2)")
 
 
 # --- halving -----------------------------------------------------------------
@@ -69,7 +70,7 @@ def test_smallest_even_grid():
 
 def test_halving_worked_example():
     # window supremum 1/4 gives a 6-cell grid
-    fam, residual = halving_refinement(EXAMPLE)
+    fam, residual = halving_refinement(EXAMPLE, UNIT, UNIT)
     assert [str(m) for m in fam.members] == ["(1/6,1/3)", "(1/2,2/3)", "(5/6,1]"]
     assert [str(r) for r in residual] == ["[0,1/6]", "[1/3,1/2]", "[2/3,5/6]"]
     assert sum(r.length for r in residual) == F(1, 2)
@@ -79,14 +80,14 @@ def test_halving_worked_example():
 
 
 def test_halving_trivial_cover():
-    fam, residual = halving_refinement(TRIVIAL)
+    fam, residual = halving_refinement(TRIVIAL, UNIT, UNIT)
     assert [str(m) for m in fam.members] == ["(1/2,1]"]
     assert [str(r) for r in residual] == ["[0,1/2]"]
 
 
 def test_halving_trivial_cover_shorter_target():
-    cover = cover_of("[1/3,5/6]", "(-1,2)")
-    fam, residual = halving_refinement(cover)
+    piece = closed("1/3", "5/6")
+    fam, residual = halving_refinement(TRIVIAL, piece, piece)
     assert [str(m) for m in fam.members] == ["(7/12,5/6]"]
     assert [str(r) for r in residual] == ["[1/3,7/12]"]
     assert sum(r.length for r in residual) == F(1, 4)
@@ -97,8 +98,8 @@ def test_halving_cells_shorter_than_window_supremum():
     for _ in range(40):
         target = random_target(rng)
         cover = random_cover(rng, target)
-        sup = window_supremum(cover)
-        fam, residual = halving_refinement(cover)
+        sup = window_supremum(cover, target)
+        fam, residual = halving_refinement(cover, target, target)
         for piece in list(fam.members) + [RSet((r,)) for r in residual]:
             assert piece.measure() < sup
         assert sum(r.length for r in residual) == target.length / 2
@@ -110,7 +111,7 @@ def test_halving_cells_shorter_than_window_supremum():
 def test_halving_step_measures():
     state = HalvingState((closed(0, 1),), 0)
     for n in (1, 2, 3, 4):
-        fam, state = halving_step(state, TRIVIAL)
+        fam, state = halving_step(state, TRIVIAL, UNIT)
         assert state.measure() == F(1, 2**n)
         assert is_discrete(list(fam.members)).min_gap == fam.min_gap
 
@@ -119,7 +120,7 @@ def test_halving_step_vs_grid_cover():
     state = HalvingState((closed(0, 1),), 0)
     for n in (1, 2, 3):
         cover = ball_cover(n)
-        fam, state = halving_step(state, cover)
+        fam, state = halving_step(state, cover, UNIT)
         ok, _ = refines(list(fam.members), cover.members)
         assert ok
         assert state.measure() == F(1, 2**n)
@@ -180,7 +181,7 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
 
         return wrapped
 
-    def step(state, cover, ambient=None):
+    def step(state, cover, ambient):
         counts["pieces"] += sum(not p.is_point for p in state.residual)
         counts["steps"] += 1
         return halving_step(state, cover, ambient)
@@ -272,7 +273,7 @@ def test_cantor_one_shot_on_seeded_covers():
 
 def test_cantor_one_shot_cover_missing_middle_gap():
     # members cover the construction but not the whole ambient interval
-    cover = Cover(RSet.empty(), (rs("(-1/8,2/5)"), rs("(3/5,9/8)")))
+    cover = cover_of("(-1/8,2/5)", "(3/5,9/8)")
     spec = CantorSpec(closed(0, 1))
     fam = cantor_one_shot(cover, spec)
     ok, _ = refines(list(fam.members), cover.members)
@@ -320,7 +321,7 @@ def test_triadic_enumeration_never_hits_one_half():
 
 
 def test_chain_puncture_worked_example():
-    family, punctures = chain_puncture_refinement(EXAMPLE)
+    family, punctures = chain_puncture_refinement(EXAMPLE, UNIT)
     assert punctures == [F(3, 8)]
     assert [str(m) for m in family] == ["[0,3/8)", "(3/8,1]"]
     is_disjoint(family)
@@ -332,20 +333,18 @@ def test_chain_puncture_worked_example():
 
 
 def test_chain_puncture_single_member():
-    family, punctures = chain_puncture_refinement(TRIVIAL)
+    family, punctures = chain_puncture_refinement(TRIVIAL, UNIT)
     assert punctures == []
     assert family == [rs("[0,1]")]
 
 
 def test_puncture_cleanup_examples():
-    # (0,1) is no cover of [0,1]; give it an unconstrained target and an
-    # explicit ambient, as the second-inning bot does
-    loose = Cover(RSet.empty(), (rs("(0,1)"),))
-    amb = closed(0, 1)
-    fam = puncture_cleanup([F(3, 8)], loose, amb)
+    # (0,1) is no cover of [0,1], but it holds every puncture
+    loose = cover_of("(0,1)")
+    fam = puncture_cleanup([F(3, 8)], loose, UNIT)
     assert [str(m) for m in fam.members] == ["(3/16,9/16)"]
-    assert puncture_cleanup([], TRIVIAL).members == ()
-    two = puncture_cleanup([F(1, 4), F(3, 4)], loose, amb)
+    assert puncture_cleanup([], TRIVIAL, UNIT).members == ()
+    two = puncture_cleanup([F(1, 4), F(3, 4)], loose, UNIT)
     assert len(two.members) == 2
     assert [str(m) for m in two.members] == ["(1/8,3/8)", "(5/8,7/8)"]
     assert two.min_gap is not None and two.min_gap > 0
@@ -357,8 +356,8 @@ def test_chain_puncture_then_cleanup_covers_exactly():
         target = random_target(rng)
         cover1 = random_cover(rng, target, extra=False)
         cover2 = random_cover(rng, target, extra=False)
-        family, punctures = chain_puncture_refinement(cover1)
-        cleanup = puncture_cleanup(punctures, cover2)
+        family, punctures = chain_puncture_refinement(cover1, target)
+        cleanup = puncture_cleanup(punctures, cover2, target)
         total = union_all(family + list(cleanup.members))
         assert RSet((target,)).is_subset(total)
         is_disjoint(family)
@@ -463,7 +462,7 @@ def test_greedy_matches_the_fraction_selection():
                 k = rng.randint(1, 3)
                 members.append(normalize(random_component(rng, ambient) for _ in range(k)))
         rng.shuffle(members)
-        cover = Cover(RSet((ambient,)), tuple(members))
+        cover = Cover(tuple(members))
         assert GreedyTwo(ambient).respond(0, cover) == fraction_greedy(cover), cover
     for ambient in (closed(0, 1), closed("1/5", 2), closed("-2/3", "9/7")):
         for n in range(1, 8):
