@@ -19,9 +19,6 @@ from typing import Optional
 
 from .sets import Interval, RSet, rat
 
-_THIRD = Fraction(1, 3)
-_TWO_THIRDS = Fraction(2, 3)
-
 
 @dataclass(frozen=True)
 class CantorSpec:
@@ -47,10 +44,6 @@ class CantorSpec:
                 nxt.append((hi - w, hi))
             current = nxt
         return [Interval(lo, hi, False, False) for lo, hi in current]
-
-    def piece_gap(self, level: int) -> Fraction:
-        """Smallest distance between distinct pieces at this level."""
-        return self.ambient.length / 3**level
 
     def successor(self, p) -> Optional[Fraction]:
         """Least point of the construction >= p, or None if p lies above it."""

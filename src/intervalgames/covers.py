@@ -16,10 +16,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import ceil, floor, gcd, lcm
 from typing import Optional
 
-from .sets import Interval, RSet, normalize, rat, union_all
+from .sets import Interval, RSet, _tagged_components, normalize, rat, union_all
 
 
 class CoverError(ValueError):
@@ -54,15 +55,17 @@ class Cover:
 
     def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
         """Indices of members whose closure meets [lo, hi], in index order."""
-        comps, los, max_hi = self._index
-        end = bisect_right(los, hi)
+        q, los, his, max_hi, owner = self._index
+        # with ends l*q and r*q as integers, a component's closure [l, r]
+        # meets [lo, hi] iff l*q <= floor(hi*q) and r*q >= ceil(lo*q)
+        top = hi.numerator * q // hi.denominator
+        bottom = -(-lo.numerator * q // lo.denominator)
         hit = set()
-        for k in range(end - 1, -1, -1):
-            if max_hi[k] < lo:
+        for k in range(bisect_right(los, top) - 1, -1, -1):
+            if max_hi[k] < bottom:
                 break
-            c, i = comps[k]
-            if c.hi >= lo:
-                hit.add(i)
+            if his[k] >= bottom:
+                hit.add(owner[k])
         return sorted(hit)
 
     def members_containing_point(self, x: Fraction) -> list[int]:
@@ -108,32 +111,28 @@ class Cover:
 
 
 def _point_index(members: Sequence[RSet]) -> tuple:
-    """Member components sorted by left end, their left ends, and the
-    running maximum of their right ends: what `members_touching`
-    searches."""
-    comps = sorted(
-        ((c, i) for i, m in enumerate(members) for c in m.components),
-        key=lambda t: (t[0].lo, t[0].hi),
-    )
-    running = Fraction(0)
-    max_hi_prefix = []
-    for c, _ in comps:
-        running = c.hi if not max_hi_prefix else max(running, c.hi)
-        max_hi_prefix.append(running)
-    return comps, tuple(c.lo for c, _ in comps), tuple(max_hi_prefix)
+    """What `members_touching` searches: the common denominator q of the
+    members' endpoints and, over the member components sorted by left
+    end, their left ends and right ends as integers over q, the running
+    maximum of those right ends, and the index of each one's member."""
+    q, tagged = _tagged_components(members)
+    los, his, _, owner = zip(*tagged) if tagged else ((), (), (), ())
+    return q, los, his, tuple(accumulate(his, max)), owner
 
 
 def _target_interval(cover: Cover, part: Interval) -> Interval:
     """The closed interval [a, b] a query asks about: `part`.  It must lie
     inside the cover's union, so the members touching it cover it."""
     if part.lo_open or part.hi_open:
-        raise CoverError("target must be a single closed interval")
-    if part.length <= 0:
-        raise CoverError("target must have positive length")
-    target = RSet((part,))
-    if not target.is_subset(cover.union):
-        missing = target.subtract(cover.union)
-        raise CoverError(f"members do not cover the target; uncovered part: {missing}")
+        raise CoverError(f"the queried window {part} must be a single closed interval")
+    if part.is_point:
+        raise CoverError(f"the queried window {part} must have positive length")
+    window = RSet((part,))
+    if not window.is_subset(cover.union):
+        missing = window.subtract(cover.union)
+        raise CoverError(
+            f"members do not cover the queried window {part}; uncovered part: {missing}"
+        )
     return part
 
 
@@ -393,12 +392,12 @@ def chain_subcover(cover: Cover, part: Interval) -> list[int]:
             continue
         if len(comps) > 1:
             raise CoverError(
-                f"member {i} restricted to the target is not a single interval"
+                f"member {i} restricted to the window {t} is not a single interval"
             )
         c = comps[0]
         if not ((c.lo_open or c.lo == a) and (c.hi_open or c.hi == b)):
             raise CoverError(
-                f"member {i} restricted to the target is not relatively open"
+                f"member {i} restricted to the window {t} is not relatively open"
             )
         traces.append(((c.lo, c.lo_open), (c.hi, not c.hi_open, -i)))
     traces.sort()
@@ -411,7 +410,7 @@ def chain_subcover(cover: Cover, part: Interval) -> list[int]:
             reach = traces[k][1] if reach is None else max(reach, traces[k][1])
             k += 1
         if reach is None or reach[:2] <= (pos, False):
-            raise CoverError(f"cover fails to cover the target at {pos}")
+            raise CoverError(f"cover fails to cover the window {t} at {pos}")
         pos, closed, i = reach
         chain.append(-i)
         if closed:  # a relatively open trace is closed on the right only at b

@@ -1,10 +1,14 @@
 """Exact set algebra for finite unions of rational intervals on the line.
 
-Everything runs on `fractions.Fraction`; there is no floating point
-anywhere in the package.  An `RSet` is the canonical form of a finite
-union of intervals with rational endpoints and is the universal currency
-the cover games trade in: open covers, refinement families, residual
-sets and certificates are all RSets.
+Every endpoint, measure and certificate is a `fractions.Fraction` at
+every API; there is no floating point anywhere in the package.  Inside,
+endpoints are compared as exact integers: each `Interval` keeps its
+endpoints' numerators and denominators, single comparisons cross-multiply
+them, and sorts and sweeps scale them to one common denominator.  An
+`RSet` is the canonical form of a finite union of intervals with rational
+endpoints and is the universal currency the cover games trade in: open
+covers, refinement families, residual sets and certificates are all
+RSets.
 
 Discreteness of a finite family (pairwise disjoint closures) is decided
 exactly and certified with the minimal positive gap between closures; a
@@ -17,6 +21,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -58,23 +65,31 @@ class Interval:
 
     ``lo < hi`` with any combination of open/closed ends, or ``lo == hi``
     with both ends closed (a single point).  Degenerate open intervals do
-    not exist.
+    not exist.  ``_ends`` holds (lo.numerator, lo.denominator,
+    hi.numerator, hi.denominator), on which endpoints are compared.
     """
 
     lo: Fraction
     hi: Fraction
     lo_open: bool = True
     hi_open: bool = True
+    _ends: tuple[int, int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if type(self.lo) is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if type(self.hi) is not Fraction:
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
-        if self.lo == self.hi and (self.lo_open or self.hi_open):
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        ends = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        order = ends[2] * ends[1] - ends[0] * ends[3]  # the sign of hi - lo
+        if order < 0:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        if order == 0 and (self.lo_open or self.hi_open):
             raise ValueError("degenerate interval must be closed on both ends")
+        object.__setattr__(self, "_ends", ends)
 
     @property
     def length(self) -> Fraction:
@@ -82,25 +97,26 @@ class Interval:
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        ln, ld, hn, hd = self._ends
+        return ln * hd == hn * ld
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
+        ln, ld, hn, hd = self._ends
+        xn, xd = x.numerator, x.denominator
+        above = xn * ld - ln * xd  # the sign of x - lo
+        if above < 0 or (above == 0 and self.lo_open):
             return False
-        if x == self.lo and self.lo_open:
-            return False
-        if x == self.hi and self.hi_open:
-            return False
-        return True
+        below = hn * xd - xn * hd  # the sign of hi - x
+        return below > 0 or (below == 0 and not self.hi_open)
 
     def contains_interval(self, other: "Interval") -> bool:
-        lo_ok = self.lo < other.lo or (
-            self.lo == other.lo and (not self.lo_open or other.lo_open)
-        )
-        hi_ok = self.hi > other.hi or (
-            self.hi == other.hi and (not self.hi_open or other.hi_open)
-        )
-        return lo_ok and hi_ok
+        ln, ld, hn, hd = self._ends
+        on, od, pn, pd = other._ends
+        inside = on * ld - ln * od  # the sign of other.lo - lo
+        if inside < 0 or (inside == 0 and self.lo_open and not other.lo_open):
+            return False
+        inside = hn * pd - pn * hd  # the sign of hi - other.hi
+        return inside > 0 or (inside == 0 and (not self.hi_open or other.hi_open))
 
     def closure(self) -> "Interval":
         return Interval(self.lo, self.hi, False, False)
@@ -142,19 +158,20 @@ def _merge_sorted(intervals: list[Interval]) -> tuple[Interval, ...]:
             out.append(iv)
             continue
         cur = out[-1]
-        touching = iv.lo < cur.hi or (
-            iv.lo == cur.hi and not (cur.hi_open and iv.lo_open)
-        )
-        if not touching:
+        cln, cld, chn, chd = cur._ends
+        ln, ld, hn, hd = iv._ends
+        gap = ln * chd - chn * ld  # the sign of iv.lo - cur.hi
+        if gap > 0 or (gap == 0 and cur.hi_open and iv.lo_open):
             out.append(iv)
             continue
-        if iv.lo == cur.lo:
+        if ln * cld == cln * ld:
             lo_open = cur.lo_open and iv.lo_open
         else:
             lo_open = cur.lo_open
-        if iv.hi > cur.hi:
+        reach = hn * chd - chn * hd  # the sign of iv.hi - cur.hi
+        if reach > 0:
             hi, hi_open = iv.hi, iv.hi_open
-        elif iv.hi == cur.hi:
+        elif reach == 0:
             hi, hi_open = cur.hi, cur.hi_open and iv.hi_open
         else:
             hi, hi_open = cur.hi, cur.hi_open
@@ -172,10 +189,13 @@ class RSet:
     """
 
     components: tuple[Interval, ...] = ()
-    _los: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_los", tuple(c.lo for c in self.components))
+    @cached_property
+    def _left_ends(self) -> tuple[int, tuple[int, ...]]:
+        """The common denominator q of the endpoints, and the components'
+        left ends times q: what `_candidates` bisects."""
+        q = _common_denominator(self.components)
+        return q, tuple(c._ends[0] * (q // c._ends[1]) for c in self.components)
 
     @classmethod
     def interval(cls, lo, hi, lo_open=True, hi_open=True) -> "RSet":
@@ -199,8 +219,8 @@ class RSet:
     def contains(self, x) -> bool:
         if type(x) is not Fraction:
             x = Fraction(x)
-        idx = bisect_right(self._los, x) - 1
-        return idx >= 0 and self.components[idx].contains(x)
+        held = _candidates(self, x)
+        return bool(held) and held[0].contains(x)
 
     def closure(self) -> "RSet":
         return normalize(c.closure() for c in self.components)
@@ -248,14 +268,40 @@ class RSet:
         return ";".join(str(c) for c in self.components)
 
 
-def _candidates(rset: RSet, x: Fraction) -> list[Interval]:
-    idx = bisect_right(rset._los, x) - 1
-    return [rset.components[idx]] if idx >= 0 else []
+def _candidates(rset: RSet, x: Fraction) -> tuple[Interval, ...]:
+    """The component that alone can hold x, or a set whose first point is
+    x: the last one starting at or before x.  A one-component set offers
+    its component unsearched; the caller's containment test decides.
+    Otherwise the left ends, integers over q, are searched for floor(x*q):
+    an integer is at most x*q exactly when it is at most floor(x*q)."""
+    comps = rset.components
+    if len(comps) <= 1:
+        return comps
+    q, los = rset._left_ends
+    idx = bisect_right(los, x.numerator * q // x.denominator) - 1
+    return comps[idx : idx + 1] if idx >= 0 else ()
+
+
+def _common_denominator(intervals: Iterable[Interval]) -> int:
+    """The least common denominator of the intervals' endpoints (1 for none)."""
+    return lcm(*{c._ends[k] for c in intervals for k in (1, 3)})
 
 
 def normalize(intervals: Iterable[Interval]) -> RSet:
-    """Canonicalize a collection of intervals into an RSet."""
-    ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.lo_open, iv.hi))
+    """Canonicalize a collection of intervals into an RSet.
+
+    The intervals are sorted by (lo, lo_open, hi), with lo and hi as
+    integers over their common denominator q; one interval is sorted
+    already."""
+    ivs = list(intervals)
+    if len(ivs) > 1:
+        q = _common_denominator(ivs)
+
+        def key(iv: Interval) -> tuple[int, bool, int]:
+            ln, ld, hn, hd = iv._ends
+            return ln * (q // ld), iv.lo_open, hn * (q // hd)
+
+        ivs.sort(key=key)
     return RSet(_merge_sorted(ivs))
 
 
@@ -264,23 +310,26 @@ def union_all(rsets: Iterable[RSet]) -> RSet:
     return normalize(c for rs in rsets for c in rs.components)
 
 
-def _events(rset: RSet) -> list[tuple[Fraction, bool, bool]]:
-    """The distinct endpoints of a canonical RSet, in order, as
-    (point, in the set at the point, in the set just right of it).
+def _events(rset: RSet, q: int) -> list[tuple[int, Fraction, bool, bool]]:
+    """The distinct endpoints of a canonical RSet, in order, as (the
+    point times q, the point, in the set at the point, in the set just
+    right of it); q is a common multiple of the endpoints' denominators.
 
     In canonical form two components share an endpoint only when both
     are open there, so that point is one event: out at it, in after it.
     """
-    out: list[tuple[Fraction, bool, bool]] = []
+    out: list[tuple[int, Fraction, bool, bool]] = []
     for c in rset.components:
-        if c.lo == c.hi:
-            out.append((c.lo, True, False))
+        ln, ld, hn, hd = c._ends
+        lo, hi = ln * (q // ld), hn * (q // hd)
+        if lo == hi:
+            out.append((lo, c.lo, True, False))
             continue
-        if c.lo_open and out and out[-1][0] == c.lo:
-            out[-1] = (c.lo, False, True)
+        if c.lo_open and out and out[-1][0] == lo:
+            out[-1] = (lo, c.lo, False, True)
         else:
-            out.append((c.lo, not c.lo_open, True))
-        out.append((c.hi, not c.hi_open, False))
+            out.append((lo, c.lo, not c.lo_open, True))
+        out.append((hi, c.hi, not c.hi_open, False))
     return out
 
 
@@ -292,13 +341,17 @@ def _combine(a: RSet, b: RSet, keep: Callable[[bool, bool], bool]) -> RSet:
     operand's endpoints are already sorted (`_events`), so one merge
     visits every distinct endpoint once, with each operand's membership
     at that point and on the gap after it; an operand without an
-    endpoint there keeps its membership from the gap before.  The kept
-    points and gaps are glued into maximal components as the sweep goes,
-    which is the canonical form, so the result needs no normalizing.
-    Work is linear in the operands' sizes.  `keep(False, False)` must be
-    False: the set is empty left of all endpoints and right of them.
+    endpoint there keeps its membership from the gap before.  The merge
+    orders endpoints by their integer numerators over the operands'
+    common denominator; the output is built from the endpoints' own
+    Fractions.  The kept points and gaps are glued into maximal
+    components as the sweep goes, which is the canonical form, so the
+    result needs no normalizing.  Work is linear in the operands' sizes.
+    `keep(False, False)` must be False: the set is empty left of all
+    endpoints and right of them.
     """
-    ea, eb = _events(a), _events(b)
+    q = _common_denominator(a.components + b.components)
+    ea, eb = _events(a, q), _events(b, q)
     na, nb = len(ea), len(eb)
     i = j = 0
     a_after = b_after = False
@@ -306,16 +359,16 @@ def _combine(a: RSet, b: RSet, keep: Callable[[bool, bool], bool]) -> RSet:
     start: Optional[tuple[Fraction, bool]] = None  # open component: (lo, lo_open)
     while i < na or j < nb:
         if j == nb or (i < na and ea[i][0] < eb[j][0]):
-            p, a_at, a_after = ea[i]
+            _, p, a_at, a_after = ea[i]
             b_at = b_after
             i += 1
         elif i == na or eb[j][0] != ea[i][0]:
-            p, b_at, b_after = eb[j]
+            _, p, b_at, b_after = eb[j]
             a_at = a_after
             j += 1
         else:
-            p, a_at, a_after = ea[i]
-            _, b_at, b_after = eb[j]
+            _, p, a_at, a_after = ea[i]
+            _, _, b_at, b_after = eb[j]
             i += 1
             j += 1
         at, after = keep(a_at, b_at), keep(a_after, b_after)
@@ -366,10 +419,18 @@ class DiscreteFamily:
         return len(self.members)
 
 
-def _tagged_components(rsets: Sequence[RSet]) -> list[tuple[Interval, int]]:
-    tagged = [(c, i) for i, rs in enumerate(rsets) for c in rs.components]
-    tagged.sort(key=lambda t: (t[0].lo, t[0].hi))
-    return tagged
+def _tagged_components(rsets: Sequence[RSet]) -> tuple[int, list[tuple]]:
+    """The common denominator q of the sets' endpoints, and every
+    component as (lo times q, hi times q, component, index of its set),
+    sorted by (lo, hi)."""
+    comps = [(c, i) for i, rs in enumerate(rsets) for c in rs.components]
+    q = _common_denominator(c for c, _ in comps)
+    tagged = []
+    for c, i in comps:
+        ln, ld, hn, hd = c._ends
+        tagged.append((ln * (q // ld), hn * (q // hd), c, i))
+    tagged.sort(key=itemgetter(0, 1))
+    return q, tagged
 
 
 def is_discrete(members: Sequence[RSet]) -> DiscreteFamily:
@@ -386,17 +447,17 @@ def is_discrete(members: Sequence[RSet]) -> DiscreteFamily:
     if len(members) <= 1:
         return DiscreteFamily(members, None)
     closures = [m.closure() for m in members]
-    tagged = _tagged_components(closures)
-    min_gap: Optional[Fraction] = None
-    for (cur, ci), (nxt, ni) in zip(tagged, tagged[1:]):
-        gap = nxt.lo - cur.hi
+    q, tagged = _tagged_components(closures)
+    min_gap: Optional[int] = None  # times q
+    for (_, cur_hi, _, ci), (nxt_lo, _, _, ni) in zip(tagged, tagged[1:]):
         if ci == ni:
             continue
+        gap = nxt_lo - cur_hi
         if gap <= 0:
             raise FamilyNotDiscrete(*_first_meeting_pair(closures))
         if min_gap is None or gap < min_gap:
             min_gap = gap
-    return DiscreteFamily(members, min_gap)
+    return DiscreteFamily(members, None if min_gap is None else Fraction(min_gap, q))
 
 
 def _first_meeting_pair(rsets: Sequence[RSet]) -> tuple[int, int, Fraction]:
@@ -416,12 +477,12 @@ def is_disjoint(members: Sequence[RSet]) -> tuple[RSet, ...]:
     for i, m in enumerate(members):
         if m.is_empty:
             raise ValueError(f"family member {i} is empty")
-    tagged = _tagged_components(members)
-    for (cur, ci), (nxt, ni) in zip(tagged, tagged[1:]):
+    _, tagged = _tagged_components(members)
+    for (_, cur_hi, cur, ci), (nxt_lo, _, nxt, ni) in zip(tagged, tagged[1:]):
         if ci == ni:
             continue
-        touching = nxt.lo < cur.hi or (
-            nxt.lo == cur.hi and not cur.hi_open and not nxt.lo_open
+        touching = nxt_lo < cur_hi or (
+            nxt_lo == cur_hi and not cur.hi_open and not nxt.lo_open
         )
         if touching:
             raise FamilyNotDisjoint(*_first_meeting_pair(members))

@@ -2,13 +2,14 @@
 that a performance claim is read from."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-)
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
@@ -64,3 +65,18 @@ def test_summarize_flags_a_metric_beyond_its_bound():
     assert not against["matches_per_s"]["within_bound"]
     assert against["setup_s"]["worse_by"] == pytest.approx(1.0)
     assert not against["setup_s"]["within_bound"]
+
+
+@pytest.mark.parametrize("seeds", ["1001-1005", "7,9,11", "4"])
+def test_an_odd_seed_count_is_refused_before_anything_runs(tmp_path, seeds):
+    """With an odd count one side would run first in more pairs than the
+    other, and the run order would bias the medians."""
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", "HEAD", "--seeds", seeds, "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "even count" in proc.stderr, proc.stderr
+    assert not out.exists()

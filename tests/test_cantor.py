@@ -17,7 +17,7 @@ def test_pieces_counts_lengths_gaps():
         assert all(p.length == F(1, 3**level) for p in pieces)
         gaps = [b.lo - a.hi for a, b in zip(pieces, pieces[1:])]
         if gaps:
-            assert min(gaps) == UNIT.piece_gap(level)
+            assert min(gaps) == UNIT.ambient.length / 3**level
 
 
 def test_piece_endpoints_are_construction_points():

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -422,3 +423,96 @@ def test_console_entry_point_runs():
     proc = run_module("demo", "alpha-minus")
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
+
+
+MALFORMED_ARGV = [
+    ("play", "--ruleset", "x"),
+    ("play", "--ruleset"),
+    ("play", "--bogus"),
+    ("play", "--length", ""),
+    ("play", "--length", "-1"),
+    ("play", "--length", "w^w"),
+    ("play", "--ambient", ""),
+    ("play", "--ambient", "[0,0]"),
+    ("play", "--ambient", "(0,1)"),
+    ("play", "--ambient", "[a,1]"),
+    ("play", "--target", ""),
+    ("play", "--target", "nope"),
+    ("play", "--target", "closed:"),
+    ("play", "--target", "closed:[0,1/0]"),
+    ("play", "--innings", "-3"),
+    ("play", "--one", "main-gdelta:nope"),
+    ("play", "--two", ""),
+    ("play", "--two", "countable:nope"),
+    ("bracket", "--lengths", "w,,1"),
+    ("bracket", "--lengths", "w^w"),
+    ("bracket", "--innings", "0"),
+    ("bracket", "--target", "closed:[5,6]"),
+    ("bracket", "--target", "cantor:x"),
+    ("check", "--seed", "x"),
+    ("check", "--cases", "0"),
+    ("check", "--suite", ""),
+    ("analyze", "bogus"),
+    ("analyze", "core"),
+    ("analyze", "core", "--two", "nope"),
+    ("analyze", "escape", "--two", "halving", "--witness", "1/0"),
+    ("analyze", "escape", "--two", "halving", "--k", "x"),
+    ("demo",),
+    ("demo", "nope"),
+    ("demo", "cantor", "extra"),
+    ("interactive", "--as", "three"),
+    ("interactive", "--as", "two", "--innings", "x"),
+    ("interactive", "--as", "one", "--two", "nope"),
+    (),
+    ("--help-me",),
+]
+
+MALFORMED_CONFIGS = [
+    ("play", b"ruleset disjoint\n"),
+    ("play", b"\xff\xfe\x00\n"),
+    ("play", b"length = spam\n"),
+    ("play", b"ruleset = \n"),
+    ("bracket", b"as = two\n"),
+    ("interactive", b"as = three\n"),
+]
+
+MALFORMED_STDIN = [
+    (("interactive", "--as", "two", "--one", "grid", "--innings", "1"), "(0,1\n[1,0]\n;;\n"),
+    (("interactive", "--as", "one", "--two", "halving", "--innings", "1"), "((\n[0,1/0]\n"),
+]
+
+
+def test_malformed_input_sweep_ends_with_an_exit_code_not_a_traceback(tmp_path):
+    """Malformed flags, values, config files and interactive lines for
+    every subcommand: each run ends with a documented exit code, and
+    none prints a traceback."""
+    runs = [(argv, "") for argv in MALFORMED_ARGV] + MALFORMED_STDIN
+    for k, (command, body) in enumerate(MALFORMED_CONFIGS):
+        cfg = tmp_path / f"bad{k}.cfg"
+        cfg.write_bytes(body)
+        runs.append(((command, "--config", str(cfg)), ""))
+    runs.append((("play", "--config", str(tmp_path)), ""))  # a directory
+    for argv, stdin_text in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "intervalgames", *argv],
+            capture_output=True, text=True, input=stdin_text, timeout=60,
+            env={**os.environ, "INTERVALGAMES_OUT": str(tmp_path)},
+        )
+        assert proc.returncode in {0, 2, 3, 64}, (argv, proc.returncode, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
+@pytest.mark.parametrize("kind", ["countable", "gdelta"])
+def test_an_empty_enumeration_name_means_rationals(tmp_path, kind):
+    """`--target countable:` and `--target gdelta:` play the `rationals`
+    enumeration, exactly as when it is named."""
+    outs = []
+    for target in (f"{kind}:", f"{kind}:rationals"):
+        proc = run_module(
+            "play", "--length", "2", "--innings", "2", "--target", target,
+            "--json", str(tmp_path / "t.jsonl"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append((proc.stdout, (tmp_path / "t.jsonl").read_bytes()))
+    assert f"target={kind}:rationals " in outs[0][0]
+    assert outs[0] == outs[1]

@@ -1,11 +1,15 @@
 """Exact set algebra: worked examples, laws, and certificates."""
 
 import operator
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intervalgames import sets
+from intervalgames.covers import Cover
 from intervalgames.sets import (
     FamilyNotDiscrete,
     FamilyNotDisjoint,
@@ -344,10 +348,283 @@ def ordering_comparisons(monkeypatch, op: str, n: int) -> int:
     return calls
 
 
+def lines_run_in_sets(op: str, n: int) -> int:
+    """Lines of `sets.py` executed by one combination of `interleaved(n)`:
+    every event the sweep visits, every endpoint it scales and every
+    `Interval` it builds runs a fixed number of them."""
+    a, b = interleaved(n)
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count_lines
+
+    def in_sets(frame, event, arg):
+        return count_lines if frame.f_code.co_filename == sets.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(in_sets)
+    try:
+        getattr(a, op)(b)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
 @pytest.mark.parametrize("op", sorted(COMBINE))
-def test_combine_work_is_linear(monkeypatch, op):
-    """Machine-independent work gate: Fraction ordering comparisons
-    (<, <=, >, >=) grow at most linearly with the operands' sizes."""
-    small = ordering_comparisons(monkeypatch, op, 50)
-    large = ordering_comparisons(monkeypatch, op, 400)
+def test_combine_makes_no_fraction_ordering_comparison(monkeypatch, op):
+    """The sweep orders endpoints as integers: no Fraction <, <=, > or >=."""
+    assert ordering_comparisons(monkeypatch, op, 50) == 0
+
+
+@pytest.mark.parametrize("op", sorted(COMBINE))
+def test_combine_work_is_linear(op):
+    """Machine-independent work gate: the lines of `sets.py` that one
+    combination executes grow at most linearly with the operands' sizes."""
+    small = lines_run_in_sets(op, 50)
+    large = lines_run_in_sets(op, 400)
     assert large <= 8 * small + 16, (small, large)
+
+
+# --- integer comparisons against a Fraction reference ----------------------
+#
+# The bodies below are the set algebra written on Fraction comparisons,
+# kept here as the reference the integer comparisons must reproduce.
+
+
+def ref_refusal(lo: F, hi: F, lo_open: bool, hi_open: bool) -> str | None:
+    if lo > hi:
+        return f"interval endpoints out of order: {lo} > {hi}"
+    if lo == hi and (lo_open or hi_open):
+        return "degenerate interval must be closed on both ends"
+    return None
+
+
+def refusal(lo: F, hi: F, lo_open: bool, hi_open: bool) -> str | None:
+    try:
+        Interval(lo, hi, lo_open, hi_open)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def ref_contains(c: Interval, x: F) -> bool:
+    if x < c.lo or x > c.hi:
+        return False
+    if x == c.lo and c.lo_open:
+        return False
+    return not (x == c.hi and c.hi_open)
+
+
+def ref_contains_interval(c: Interval, d: Interval) -> bool:
+    lo_ok = c.lo < d.lo or (c.lo == d.lo and (not c.lo_open or d.lo_open))
+    hi_ok = c.hi > d.hi or (c.hi == d.hi and (not c.hi_open or d.hi_open))
+    return lo_ok and hi_ok
+
+
+def ref_normalize(intervals: list[Interval]) -> tuple[Interval, ...]:
+    out: list[Interval] = []
+    for iv in sorted(intervals, key=lambda iv: (iv.lo, iv.lo_open, iv.hi)):
+        if not out:
+            out.append(iv)
+            continue
+        cur = out[-1]
+        if not (iv.lo < cur.hi or (iv.lo == cur.hi and not (cur.hi_open and iv.lo_open))):
+            out.append(iv)
+            continue
+        lo_open = cur.lo_open and iv.lo_open if iv.lo == cur.lo else cur.lo_open
+        if iv.hi > cur.hi:
+            hi, hi_open = iv.hi, iv.hi_open
+        elif iv.hi == cur.hi:
+            hi, hi_open = cur.hi, cur.hi_open and iv.hi_open
+        else:
+            hi, hi_open = cur.hi, cur.hi_open
+        out[-1] = Interval(cur.lo, hi, lo_open, hi_open)
+    return tuple(out)
+
+
+def ref_events(rset: RSet) -> list[tuple[F, bool, bool]]:
+    out: list[tuple[F, bool, bool]] = []
+    for c in rset.components:
+        if c.lo == c.hi:
+            out.append((c.lo, True, False))
+            continue
+        if c.lo_open and out and out[-1][0] == c.lo:
+            out[-1] = (c.lo, False, True)
+        else:
+            out.append((c.lo, not c.lo_open, True))
+        out.append((c.hi, not c.hi_open, False))
+    return out
+
+
+def ref_combine(a: RSet, b: RSet, keep) -> tuple[Interval, ...]:
+    ea, eb = ref_events(a), ref_events(b)
+    i = j = 0
+    a_after = b_after = False
+    out: list[Interval] = []
+    start = None
+    while i < len(ea) or j < len(eb):
+        if j == len(eb) or (i < len(ea) and ea[i][0] < eb[j][0]):
+            p, a_at, a_after = ea[i]
+            b_at = b_after
+            i += 1
+        elif i == len(ea) or eb[j][0] != ea[i][0]:
+            p, b_at, b_after = eb[j]
+            a_at = a_after
+            j += 1
+        else:
+            p, a_at, a_after = ea[i]
+            _, b_at, b_after = eb[j]
+            i += 1
+            j += 1
+        at, after = keep(a_at, b_at), keep(a_after, b_after)
+        if start is not None:
+            if at and after:
+                continue
+            out.append(Interval(start[0], p, start[1], not at))
+            start = (p, True) if not at and after else None
+        elif after:
+            start = (p, not at)
+        elif at:
+            out.append(Interval(p, p, False, False))
+    return tuple(out)
+
+
+def ref_first_meeting_pair(rsets: list[RSet]) -> tuple[int, int, F]:
+    for i in range(len(rsets)):
+        for j in range(i + 1, len(rsets)):
+            meet = ref_combine(rsets[i], rsets[j], operator.and_)
+            if meet:
+                c = meet[0]
+                x = c.lo if not c.lo_open else c.hi if not c.hi_open else (c.lo + c.hi) / 2
+                return i, j, x
+    raise AssertionError("no meeting pair")
+
+
+def ref_tagged(rsets: list[RSet]) -> list[tuple[Interval, int]]:
+    tagged = [(c, i) for i, rs in enumerate(rsets) for c in rs.components]
+    return sorted(tagged, key=lambda t: (t[0].lo, t[0].hi))
+
+
+def ref_discrete(members: list[RSet]):
+    """`min_gap`, or the witness `FamilyNotDiscrete` carries."""
+    if len(members) <= 1:
+        return None
+    closures = [RSet(ref_normalize([c.closure() for c in m.components])) for m in members]
+    tagged = ref_tagged(closures)
+    min_gap = None
+    for (cur, ci), (nxt, ni) in zip(tagged, tagged[1:]):
+        gap = nxt.lo - cur.hi
+        if ci == ni:
+            continue
+        if gap <= 0:
+            return ref_first_meeting_pair(closures)
+        if min_gap is None or gap < min_gap:
+            min_gap = gap
+    return min_gap
+
+
+def discrete(members: list[RSet]):
+    try:
+        return is_discrete(members).min_gap
+    except FamilyNotDiscrete as exc:
+        return exc.index_a, exc.index_b, exc.point
+
+
+def ref_disjoint(members: list[RSet]):
+    """None, or the witness `FamilyNotDisjoint` carries."""
+    tagged = ref_tagged(members)
+    for (cur, ci), (nxt, ni) in zip(tagged, tagged[1:]):
+        if ci == ni:
+            continue
+        if nxt.lo < cur.hi or (nxt.lo == cur.hi and not cur.hi_open and not nxt.lo_open):
+            return ref_first_meeting_pair(members)
+    return None
+
+
+def disjoint(members: list[RSet]):
+    try:
+        is_disjoint(members)
+    except FamilyNotDisjoint as exc:
+        return exc.index_a, exc.index_b, exc.point
+    return None
+
+
+def ref_touching(members: list[RSet], lo: F, hi: F) -> list[int]:
+    return [i for i, m in enumerate(members) if any(c.lo <= hi and c.hi >= lo for c in m.components)]
+
+
+# two large coprime denominators, and their product's reciprocal as a nudge
+# that separates endpoints no float could tell apart
+BIG = (2**61 - 1, 3**40)
+NUDGE = F(1, BIG[0] * BIG[1])
+
+
+def random_pool(rng: random.Random) -> list[F]:
+    """Six distinct endpoints, negative ones among them, over mixed small
+    and large coprime denominators, some a nudge away from another."""
+    pool: set[F] = set()
+    while len(pool) < 6:
+        d = rng.choice((1, 2, 3, 7, 12, *BIG))
+        x = F(rng.randint(-3 * d, 3 * d), d)
+        pool.add(x)
+        if rng.random() < 0.3:
+            pool.add(x + rng.choice((NUDGE, -NUDGE, F(1, BIG[0]), -F(1, BIG[1]))))
+    return sorted(pool)[:6]
+
+
+def random_interval(rng: random.Random, pool: list[F]) -> Interval:
+    """A point or an interval between two pool ends, any ends open or closed."""
+    lo, hi = sorted(rng.sample(pool, 2))
+    if rng.random() < 0.2:
+        return point(lo)
+    return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def random_raw(rng: random.Random, pool: list[F], most: int) -> list[Interval]:
+    return [random_interval(rng, pool) for _ in range(rng.randint(0, most))]
+
+
+def test_integer_comparisons_match_a_fraction_reference():
+    """Seeded random endpoints: the integer comparisons of `Interval`,
+    `normalize`, the sweep, the discreteness checks and the cover index
+    answer as the Fraction reference bodies above do."""
+    rng = random.Random(1616)
+    flags = [(False, False), (False, True), (True, False), (True, True)]
+    for _ in range(300):
+        pool = random_pool(rng)
+        probes = pool + [(p + q) / 2 for p, q in zip(pool, pool[1:])]
+        probes += [pool[0] - 1, pool[-1] + NUDGE]
+        for lo in pool[:3]:
+            for hi in pool[2:5]:
+                for f in flags:
+                    assert refusal(lo, hi, *f) == ref_refusal(lo, hi, *f)
+        raw = random_raw(rng, pool, 5)
+        for c in raw:
+            assert c.is_point == (c.lo == c.hi)
+            for x in probes:
+                assert c.contains(x) == ref_contains(c, x), (c, x)
+            for d in raw:
+                assert c.contains_interval(d) == ref_contains_interval(c, d), (c, d)
+        a = normalize(raw)
+        assert a.components == ref_normalize(raw)
+        b = normalize(random_raw(rng, pool, 4))
+        for x in probes:
+            assert a.contains(x) == any(ref_contains(c, x) for c in a.components)
+        assert a.is_subset(b) == all(
+            any(ref_contains_interval(oc, c) for oc in b.components) for c in a.components
+        )
+        for op, keep in COMBINE.items():
+            assert getattr(a, op)(b).components == ref_combine(a, b, keep), (a, op, b)
+        members = [normalize(random_raw(rng, pool, 2) or [random_interval(rng, pool)])
+                   for _ in range(rng.randint(1, 5))]
+        assert discrete(members) == ref_discrete(members), members
+        assert disjoint(members) == ref_disjoint(members), members
+        cover = Cover(tuple(members))
+        for _ in range(4):
+            lo, hi = sorted(rng.sample(probes, 2))
+            assert cover.members_touching(lo, hi) == ref_touching(members, lo, hi)
+        for x in probes:
+            assert cover.members_touching(x, x) == ref_touching(members, x, x)

@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, written to one JSON file.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --seeds 1001-1005 --seconds 36 \
-        --out BENCH_10.json [--workloads grid-limit,certified-main,catalog-sweep]
+    python3 tools/bench_pairs.py --parent HEAD~1 --seeds 1001-1010 --seconds 36 \
+        --out BENCH_16.json [--workloads grid-limit,certified-main,catalog-sweep]
 
 The change side is this working tree.  The parent side is the committed
 files of `--parent`, exported with `git archive` into a temporary
@@ -10,15 +10,17 @@ leaves nothing in the repository's git metadata.  For every workload and
 every seed the script runs `python3 bench/run.py --workload W --seed S
 --seconds T --trace 0` once on each side, one run at a time, in each
 side's own directory; even pairs run the parent first, odd pairs the
-change.  The output holds the machine, the Python version, every run's
-metrics, each side's median and quartiles per metric, and how many pairs
-the change won per metric (better as `BENCHMARK.json` defines it, ties
-counting for neither side).  Per workload, `against_bound` reads each
-end-to-end metric against its `BENCHMARK.json` bound: `worse_by` is the
-change median's relative change from the parent median in the metric's
-worse direction (negative when it got better), `within_bound` whether
-that stays at or below `bound`, and `parent_iqr` the distance between
-the parent's quartiles.
+change.  The seed count must be even, so that each side runs first in
+half the pairs and the run order cannot bias the medians; an odd count
+is refused before anything runs.  The output holds the machine, the
+Python version, every run's metrics, each side's median and quartiles
+per metric, and how many pairs the change won per metric (better as
+`BENCHMARK.json` defines it, ties counting for neither side).  Per
+workload, `against_bound` reads each end-to-end metric against its
+`BENCHMARK.json` bound: `worse_by` is the change median's relative
+change from the parent median in the metric's worse direction (negative
+when it got better), `within_bound` whether that stays at or below
+`bound`, and `parent_iqr` the distance between the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -128,6 +130,11 @@ def main() -> int:
     ap.add_argument("--out", required=True, type=Path, help="e.g. BENCH_10.json")
     args = ap.parse_args()
     seeds = parse_seeds(args.seeds)
+    if len(seeds) % 2:
+        raise SystemExit(
+            f"bench_pairs.py: --seeds {args.seeds} gives {len(seeds)} seeds; "
+            "give an even count, so each side runs first in half the pairs"
+        )
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     report = {
         "machine": machine(),
