@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .sets import Interval, RSet, _tagged_components, normalize, rat, union_all
@@ -82,27 +82,34 @@ class Cover:
                     return c
         return None
 
+    def first_holder(self, m: RSet) -> Optional[int]:
+        """The lowest index of a member holding the nonempty set m, or
+        None when none does.
+
+        A member holds m only if it contains a point of m, so only the
+        members containing m's representative point are tried.
+        """
+        return next(
+            (
+                i
+                for i in self.members_containing_point(m.representative())
+                if m.is_subset(self.member(i))
+            ),
+            None,
+        )
+
     def refinement_witnesses(
         self, family: Sequence[RSet]
     ) -> tuple[bool, list[Optional[int]]]:
         """The refinement rule, for every kind of cover: whether each
         family member lies in some cover member, and per family member
-        the lowest index of one that holds it (None when none does).
-
-        A set lies in a cover member only if that member contains the
-        set's first point, so only the members containing that point are
-        tried; the empty set lies in every member.  `sets.refines` is the
-        definition-level scan the tests compare this with.
+        the lowest index of one that holds it (`first_holder`; None when
+        none does).  The empty set lies in every member.
+        `sets.refines` is the definition-level scan the tests compare
+        this with.
         """
-        witnesses: list[Optional[int]] = []
-        for m in family:
-            if m.is_empty:
-                witnesses.append(None if self.union.is_empty else 0)
-                continue
-            candidates = self.members_containing_point(m.representative())
-            witnesses.append(
-                next((i for i in candidates if m.is_subset(self.member(i))), None)
-            )
+        empty_holder = None if self.union.is_empty else 0
+        witnesses = [empty_holder if m.is_empty else self.first_holder(m) for m in family]
         return None not in witnesses, witnesses
 
     def member_texts(self) -> list[str]:
@@ -253,10 +260,13 @@ class GridCover(Cover):
     nonempty, and closed exactly where the ambient's ends cut it.  Their
     union is the ambient.
 
-    Answered in closed form from n and the ambient: `member(k)`,
-    `members_touching`, `members_containing_point`, `holding`, the
-    transcript's `member_texts`, `window_supremum` on the ambient, and
-    equality.  `refinement_witnesses` is `Cover`'s, over those queries.
+    Grid point j is (A + jB)/Q for one integer triple (Q, A, B)
+    (`_units`), so a point's grid unit floor((x - a)/h) and whether x is
+    a grid point come from one `divmod` of integers.  On them are
+    answered in closed form, building no member: `members_touching`,
+    `holding`, `first_holder` (and so the refinement rule, `Cover`'s
+    `refinement_witnesses` over it) and the transcript's `member_texts`;
+    also `member(k)`, `window_supremum` on the ambient, and equality.
     The member tuple is built on first use of `members`, once per
     instance; `GreedyTwo` is its only consumer left in a match.
     """
@@ -267,11 +277,19 @@ class GridCover(Cover):
         if ambient.lo_open or ambient.hi_open or ambient.length <= 0:
             raise ValueError("grid ambient must be a closed interval of positive length")
         last = 2 ** (n + 2)
+        step = ambient.length / last
+        q = lcm(ambient.lo.denominator, step.denominator)
+        units = (
+            q,
+            ambient.lo.numerator * (q // ambient.lo.denominator),
+            step.numerator * (q // step.denominator),
+        )
         for name, value in (
             ("n", n),
             ("ambient", ambient),
             ("last", last),
-            ("step", ambient.length / last),
+            ("step", step),
+            ("_units", units),
             ("union", RSet((ambient,))),
         ):
             object.__setattr__(self, name, value)
@@ -290,8 +308,9 @@ class GridCover(Cover):
     @cached_property
     def members(self) -> tuple[RSet, ...]:
         # the grid points are computed once and shared by neighbouring members
-        last, lo, h = self.last, self.ambient.lo, self.step
-        pts = [lo + j * h for j in range(last + 1)]
+        q, a, b = self._units
+        last = self.last
+        pts = [Fraction(a + j * b, q) for j in range(last + 1)]
         return tuple(
             RSet((Interval(pts[max(k - 1, 0)], pts[min(k + 1, last)], k > 0, k < last),))
             for k in range(last + 1)
@@ -299,52 +318,73 @@ class GridCover(Cover):
 
     def _component(self, k: int) -> Interval:
         """The one component of member k."""
-        lo, h, last = self.ambient.lo, self.step, self.last
-        return Interval(lo + max(k - 1, 0) * h, lo + min(k + 1, last) * h, k > 0, k < last)
+        q, a, b = self._units
+        last = self.last
+        return Interval(
+            Fraction(a + max(k - 1, 0) * b, q),
+            Fraction(a + min(k + 1, last) * b, q),
+            k > 0,
+            k < last,
+        )
 
     def member(self, k: int) -> RSet:
         if not 0 <= k <= self.last:
             raise IndexError(f"grid member {k} out of range")
         return RSet((self._component(k),))
 
+    def _unit(self, x: Fraction) -> tuple[int, int]:
+        """floor(t) and r for t = (x - a)/h, which for x = p/d is
+        (pQ - Ad)/(Bd): one `divmod`.  r is 0 exactly when x is a grid
+        point, and then x is grid point t."""
+        q, a, b = self._units
+        return divmod(x.numerator * q - a * x.denominator, b * x.denominator)
+
     def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
         # member k's closure spans grid units [max(k-1, 0), min(k+1, last)]
-        u = (lo - self.ambient.lo) / self.step
-        v = (hi - self.ambient.lo) / self.step
-        if v < 0 or u > self.last:
+        j, r = self._unit(lo)
+        first = j + (r > 0)  # ceil((lo - a)/h)
+        top, _ = self._unit(hi)
+        if top < 0 or first > self.last:
             return []
-        return list(range(max(ceil(u) - 1, 0), min(floor(v) + 1, self.last) + 1))
+        return list(range(max(first - 1, 0), min(top + 1, self.last) + 1))
 
-    def members_containing_point(self, x: Fraction) -> list[int]:
-        # grid point j lies in member j only; a point between grid points
-        # j and j+1 lies in members j and j+1
-        t = (x - self.ambient.lo) / self.step
-        if t < 0 or t > self.last:
-            return []
-        j = floor(t)
-        return [j] if t == j else [j, j + 1]
+    def _lowest_holding(
+        self, lo: Fraction, lo_open: bool, hi: Fraction, hi_open: bool
+    ) -> Optional[int]:
+        """The lowest member holding an interval with ends lo and hi,
+        open as flagged, or None when no member does.
+
+        Right ends grow with k: with v = (hi - a)/h, the members whose
+        right end lets hi through are those from k = floor(v) on, or
+        from v - 1 on when v is a whole unit at which hi is open (member
+        v - 1 ends there, open).  None does when hi lies past b.  Left
+        ends grow with k too, so member k holds the interval iff its left
+        end (k-1)h, closed at a for k = 0, lets lo through; if it does
+        not, no member does.
+        """
+        top, r = self._unit(hi)
+        if top > self.last or (top == self.last and r):
+            return None
+        k = max(top - 1 if hi_open and not r else top, 0)
+        q, a, b = self._units
+        start = lo.numerator * q - lo.denominator * (a + max(k - 1, 0) * b)
+        return k if start > 0 or (start == 0 and (lo_open or k == 0)) else None
 
     def holding(self, lo: Fraction, hi: Fraction) -> Optional[Interval]:
-        # the lowest member reaching past hi is k = floor((hi - a)/h); it
-        # holds [lo, hi] iff it starts before lo, and then no lower one does;
-        # if it does not, neither does member k+1, which starts at kh
-        a = self.ambient.lo
-        if not a <= lo <= hi <= self.ambient.hi:
-            return None
-        k = floor((hi - a) / self.step)
-        if k > 0 and lo - a <= (k - 1) * self.step:
-            return None
-        return self._component(k)
+        k = self._lowest_holding(lo, False, hi, False)
+        return None if k is None else self._component(k)
+
+    def first_holder(self, m: RSet) -> Optional[int]:
+        # a member is one interval, so it holds m exactly when it holds m's hull
+        first, last = m.components[0], m.components[-1]
+        return self._lowest_holding(first.lo, first.lo_open, last.hi, last.hi_open)
 
     def member_texts(self) -> list[str]:
-        # grid point j is (a + j*b)/q over one common denominator q; each
-        # point is written once and shared by its two neighbouring members
-        lo, h, last = self.ambient.lo, self.step, self.last
-        q = lcm(lo.denominator, h.denominator)
-        a = lo.numerator * (q // lo.denominator)
-        b = h.numerator * (q // h.denominator)
+        # grid point j is (a + j*b)/q; each point is written once and
+        # shared by its two neighbouring members
+        q, a, b = self._units
         pts = []
-        for num in range(a, a + (last + 1) * b, b):
+        for num in range(a, a + (self.last + 1) * b, b):
             g = gcd(num, q)
             pts.append(str(num // g) if g == q else f"{num // g}/{q // g}")
         inner = [f"({x},{y})" for x, y in zip(pts, pts[2:])]

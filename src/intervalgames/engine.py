@@ -98,14 +98,16 @@ class TargetSpec:
             return cls.full()
         if s == "cantor":
             return cls.cantor()
-        if s.startswith("countable"):
-            return cls.countable(s.partition(":")[2] or "rationals")
-        if s.startswith("gdelta"):
-            return cls.gdelta(s.partition(":")[2] or "rationals")
-        if s.startswith("closed:"):
+        # `countable`, `countable:` and `countable:NAME`; likewise `gdelta`
+        kind, colon, rest = s.partition(":")
+        if kind == "countable":
+            return cls.countable(rest or "rationals")
+        if kind == "gdelta":
+            return cls.gdelta(rest or "rationals")
+        if kind == "closed" and colon:
             from .sets import parse_rset
 
-            return cls.closed(parse_rset(s.partition(":")[2]))
+            return cls.closed(parse_rset(rest))
         raise ConfigError(f"unknown target {text!r}")
 
     def measured_set(self, ambient: Interval) -> RSet:

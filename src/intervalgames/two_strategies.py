@@ -15,7 +15,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .cantor import CantorSpec
@@ -33,6 +32,7 @@ from .sets import (
     DiscreteFamily,
     Interval,
     RSet,
+    _common_denominator,
     is_discrete,
     rat,
 )
@@ -423,12 +423,12 @@ class GreedyTwo(TwoBot):
     """
 
     def respond(self, inning: int, cover: Cover) -> list[RSet]:
-        comps = [c for m in cover.members for c in m.components if c.lo < c.hi]
-        d = lcm(*{x.denominator for c in comps for x in (c.lo, c.hi)})
+        comps = [c for m in cover.members for c in m.components if not c.is_point]
+        d = _common_denominator(comps)
         cands = []
         for c in comps:
-            lo = c.lo.numerator * (d // c.lo.denominator)
-            hi = c.hi.numerator * (d // c.hi.denominator)
+            ln, ld, hn, hd = c._ends
+            lo, hi = ln * (d // ld), hn * (d // hd)
             cands.append((lo - hi, 3 * lo + hi, lo + 3 * hi))
         cands.sort()
         los: list[int] = []  # accepted candidates, sorted by left end

@@ -136,6 +136,8 @@ def test_usage_errors_exit_64(capsys):
     "flag,value",
     [
         ("--target", "countable:foo"),
+        ("--target", "countablexyz"),  # not `countable`, `countable:` or `countable:NAME`
+        ("--target", "gdeltaxyz"),
         ("--ambient", "[1,0]"),
         ("--ambient", "[0,1"),
         ("--innings", "0"),
@@ -438,6 +440,7 @@ MALFORMED_ARGV = [
     ("play", "--ambient", "[a,1]"),
     ("play", "--target", ""),
     ("play", "--target", "nope"),
+    ("play", "--target", "countablexyz"),
     ("play", "--target", "closed:"),
     ("play", "--target", "closed:[0,1/0]"),
     ("play", "--innings", "-3"),

@@ -411,6 +411,34 @@ def test_grid_member_texts_are_the_members_printed(ambient):
     assert EXAMPLE.member_texts() == ["(-1/8,1/2)", "(1/4,9/8)"]
 
 
+def random_grid_set(rng: random.Random, grid: GridCover) -> RSet:
+    """1-3 components with ends on grid points or midpoints, open or
+    closed at random, within three steps of a grid point that lies near
+    an end of the ambient twice in three draws; a component may be a
+    single point, and the set may stick out past either end."""
+    a, h, last = grid.ambient.lo, grid.step, grid.last
+    base = rng.choice((rng.randint(-2, 1), rng.randint(last - 3, last), rng.randint(-2, last)))
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        x, y = sorted(a + (2 * base + rng.randint(0, 6)) * h / 2 for _ in range(2))
+        opens = (False, False) if x == y else (rng.random() < 0.5, rng.random() < 0.5)
+        comps.append(Interval(x, y, *opens))
+    return normalize(comps)
+
+
+@pytest.mark.parametrize("ambient", [(0, 1), ("1/5", 2), (-1, "2/3"), (-3, -1)])
+def test_grid_refinement_answers_match_the_definition(ambient):
+    """The grid's closed-form refinement answer equals the definition-level
+    scan over its materialized members on seeded random families."""
+    rng = random.Random(1709)
+    for n in range(1, 7):
+        grid = GridCover(n, closed(*ambient))
+        family = [random_grid_set(rng, grid) for _ in range(80)]
+        ok, witnesses = grid.refinement_witnesses(family)
+        assert (ok, witnesses) == refines(family, grid.members), n
+        assert 0 < witnesses.count(None) < len(family), n
+
+
 # --- window queries on part of a cover ----------------------------------------
 
 

@@ -6,10 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from intervalgames import covers, two_strategies
+from intervalgames import covers, engine, two_strategies
 from intervalgames.cantor import CantorSpec
 from intervalgames.covers import Cover, ball_cover, window_supremum
-from intervalgames.engine import GameConfig, TargetSpec, play
+from intervalgames.engine import GameConfig, TargetSpec, play, referee_step
 from intervalgames.one_strategies import avoid_cover
 from intervalgames.ordinals import InningSchedule, parse_ordinal
 from intervalgames.sequences import EnumeratedPoints
@@ -207,6 +207,38 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
         "union checks": 1777, "certificates": 25, "pieces": 1777, "steps": 25,
         "holding": 2123,
     }
+
+
+@pytest.mark.parametrize("two", ["greedy", "halving"])
+def test_referee_builds_no_grid_member(monkeypatch, two):
+    """A machine-independent cost gate on seed-1 `catalog-sweep` cells,
+    `grid` vs `greedy` and `grid` vs `halving` (ambient [1/5,2], discrete,
+    length w, budget 8): the referee answers every refinement check on a
+    grid cover in closed form, without building a member."""
+    depth, built = [0], [0]
+    component = covers.GridCover._component
+
+    def counted(self, k):
+        built[0] += depth[0] > 0
+        return component(self, k)
+
+    def step(*args):
+        depth[0] += 1
+        try:
+            return referee_step(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(covers.GridCover, "_component", counted)
+    monkeypatch.setattr(engine, "referee_step", step)
+    t = play(
+        GameConfig(
+            "discrete", parse_ordinal("w"), closed("1/5", 2), TargetSpec.full(),
+            "grid", two, InningSchedule(main_budget=8),
+        )
+    )
+    assert len(t.records) == 8
+    assert built == [0]
 
 
 # --- limit fattening ---------------------------------------------------------
