@@ -86,15 +86,12 @@ class Cover:
         """The lowest index of a member holding the nonempty set m, or
         None when none does.
 
-        A member holds m only if it contains a point of m, so only the
-        members containing m's representative point are tried.
+        A member holding m has m's first left end x in its closure, so
+        only the members touching x are tried, in index order.
         """
+        x = m.components[0].lo
         return next(
-            (
-                i
-                for i in self.members_containing_point(m.representative())
-                if m.is_subset(self.member(i))
-            ),
+            (i for i in self.members_touching(x, x) if m.is_subset(self.member(i))),
             None,
         )
 

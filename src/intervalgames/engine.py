@@ -42,6 +42,7 @@ from .sets import (
     FamilyNotDisjoint,
     Interval,
     RSet,
+    closure_of_union,
     is_discrete,
     is_disjoint,
     union_all,
@@ -364,12 +365,7 @@ def _verify_certified_chain(
         return None
     for n, rec in enumerate(records):
         o_box = RSet((opens[n],))
-        closures = (
-            union_all([m.closure() for m in rec.family.members])
-            if rec.family.members
-            else RSet.empty()
-        )
-        expected_t = o_box.subtract(closures)
+        expected_t = o_box.subtract(closure_of_union(rec.family.members))
         if expected_t.is_empty or expected_t != ts[n]:
             raise InvariantViolation("certificate chain does not revalidate")
         if not RSet((opens[n + 1].closure(),)).is_subset(ts[n]):

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .covers import Cover, ball_cover
 from .errors import InvariantViolation
 from .sequences import EnumeratedPoints
-from .sets import Interval, RSet, union_all
+from .sets import Interval, RSet, closure_of_union
 from .two_strategies import largest_component, middle_half
 
 
@@ -202,8 +202,7 @@ class OneMain(OneBot):
 
     def observe(self, family: Sequence[RSet]) -> None:
         o_box = RSet((self.opens[-1],))
-        closures = union_all([m.closure() for m in family]) if family else RSet.empty()
-        t = o_box.subtract(closures)
+        t = o_box.subtract(closure_of_union(family))
         if t.is_empty:
             raise InvariantViolation(
                 "a discrete family swallowed a nontrivial connected open set"

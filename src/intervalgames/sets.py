@@ -119,6 +119,8 @@ class Interval:
         return inside > 0 or (inside == 0 and (not self.hi_open or other.hi_open))
 
     def closure(self) -> "Interval":
+        if not (self.lo_open or self.hi_open):
+            return self
         return Interval(self.lo, self.hi, False, False)
 
     def midpoint(self) -> Fraction:
@@ -223,7 +225,7 @@ class RSet:
         return bool(held) and held[0].contains(x)
 
     def closure(self) -> "RSet":
-        return normalize(c.closure() for c in self.components)
+        return closure_of_union((self,))
 
     def interior(self) -> "RSet":
         kept = [
@@ -254,13 +256,16 @@ class RSet:
         return self.components[0].representative()
 
     def is_relatively_open(self, ambient: Interval) -> bool:
-        """True if this set is open in the subspace topology of `ambient`."""
+        """True if this set is open in the subspace topology of `ambient`:
+        a closed end must be the ambient's own end (or lie beyond it)."""
+        an, ad, bn, bd = ambient._ends
         for c in self.components:
             if c.is_point:
                 return False
-            if not c.lo_open and c.lo > ambient.lo:
+            ln, ld, hn, hd = c._ends
+            if not c.lo_open and ln * ad > an * ld:  # lo > ambient.lo
                 return False
-            if not c.hi_open and c.hi < ambient.hi:
+            if not c.hi_open and hn * bd < bn * hd:  # hi < ambient.hi
                 return False
         return True
 
@@ -308,6 +313,13 @@ def normalize(intervals: Iterable[Interval]) -> RSet:
 def union_all(rsets: Iterable[RSet]) -> RSet:
     """Union of many RSets in one merge pass."""
     return normalize(c for rs in rsets for c in rs.components)
+
+
+def closure_of_union(rsets: Iterable[RSet]) -> RSet:
+    """Closure of the union of many RSets (empty for none) in one merge
+    pass: the closure of a finite union is the union of its components'
+    closures."""
+    return normalize(c.closure() for rs in rsets for c in rs.components)
 
 
 def _events(rset: RSet, q: int) -> list[tuple[int, Fraction, bool, bool]]:
@@ -439,6 +451,13 @@ def is_discrete(members: Sequence[RSet]) -> DiscreteFamily:
     For finite families of sets on the line this is exactly
     discreteness: every point then has a ball meeting at most one
     member (see :func:`witness_radius`).
+
+    The sweep reads the members' own components, whose closures have
+    the same ends; no closure is built unless a witness is needed.  It
+    relies on each member being canonical: two components of one member
+    meet at most at a shared open end, which their closures share too,
+    so the components of a member's closure lie contiguous in the sweep
+    and only pairs of different members are measured.
     """
     members = tuple(members)
     for i, m in enumerate(members):
@@ -446,15 +465,14 @@ def is_discrete(members: Sequence[RSet]) -> DiscreteFamily:
             raise ValueError(f"family member {i} is empty")
     if len(members) <= 1:
         return DiscreteFamily(members, None)
-    closures = [m.closure() for m in members]
-    q, tagged = _tagged_components(closures)
+    q, tagged = _tagged_components(members)
     min_gap: Optional[int] = None  # times q
     for (_, cur_hi, _, ci), (nxt_lo, _, _, ni) in zip(tagged, tagged[1:]):
         if ci == ni:
             continue
         gap = nxt_lo - cur_hi
         if gap <= 0:
-            raise FamilyNotDiscrete(*_first_meeting_pair(closures))
+            raise FamilyNotDiscrete(*_first_meeting_pair([m.closure() for m in members]))
         if min_gap is None or gap < min_gap:
             min_gap = gap
     return DiscreteFamily(members, None if min_gap is None else Fraction(min_gap, q))

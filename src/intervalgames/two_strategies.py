@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .cantor import CantorSpec
@@ -76,13 +77,17 @@ def _halve(
     cover: Cover, t: Interval, ambient: Interval
 ) -> tuple[list[RSet], list[Interval]]:
     """`halving_refinement`'s cells on a checked [a, b], uncertified."""
-    at_boundary = t.hi == ambient.hi
+    ln, ld, hn, hd = t._ends
+    at_boundary = (hn, hd) == ambient._ends[2:]
     # a member holding all of [a, b] gives supremum b - a, so M = 2, and
     # it holds both cells; otherwise each cell's fit is checked
     held = cover.holding(t.lo, t.hi) is not None
     m = 2 if held else smallest_even_grid(t.length, _supremum_on(cover, t))
-    step = t.length / m
-    grid = [t.lo + i * step for i in range(m + 1)]
+    # over den = lcm(ld, hd) * M the ends are integers and so is the step
+    den = lcm(ld, hd) * m
+    lo_n = ln * (den // ld)
+    step = (hn * (den // hd) - lo_n) // m
+    grid = [t.lo, *(Fraction(lo_n + i * step, den) for i in range(1, m)), t.hi]
     if not held:
         for i in range(m):
             if cover.holding(grid[i], grid[i + 1]) is None:

@@ -24,6 +24,7 @@ from intervalgames.covers import (
     verify_lebesgue,
     window_supremum,
 )
+from intervalgames.one_strategies import avoid_cover
 from intervalgames.sets import (
     Interval,
     RSet,
@@ -437,6 +438,48 @@ def test_grid_refinement_answers_match_the_definition(ambient):
         ok, witnesses = grid.refinement_witnesses(family)
         assert (ok, witnesses) == refines(family, grid.members), n
         assert 0 < witnesses.count(None) < len(family), n
+
+
+def random_family_member(rng: random.Random, pool: list[F]) -> RSet:
+    """1-3 components with ends at most three steps apart in the sorted
+    `pool`, open or closed in every combination; one in four a point."""
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(pool) - 1)
+        x, y = pool[i], pool[min(i + rng.randint(1, 3), len(pool) - 1)]
+        if rng.random() < 0.25:
+            comps.append(Interval(x, x, False, False))
+        else:
+            comps.append(Interval(x, y, rng.random() < 0.5, rng.random() < 0.5))
+    return normalize(comps)
+
+
+def test_generic_refinement_answers_match_the_definition():
+    """Seeded families against generic covers of avoid_cover-style members
+    (the ambient minus a closed block: two components each) on random
+    ambients: `Cover.refinement_witnesses` equals the definition-level
+    scan.  Family members have ends on the members' boundaries, between
+    them and past the ambient."""
+    rng = random.Random(1801)
+    witnessed = []
+    for _ in range(60):
+        a = F(rng.randint(-20, 20), rng.choice((1, 3, 8, 2**61 - 1)))
+        b = a + F(rng.randint(1, 40), rng.choice((1, 5, 3**40)))
+        ambient = closed(a, b)
+        members = []
+        for _ in range(rng.randint(1, 3)):
+            lo = a + (b - a) * F(rng.randint(0, 12), 16)
+            o = Interval(lo, lo + (b - a) * F(rng.randint(1, 4), 16), True, True)
+            members.extend(avoid_cover(o, ambient).members)
+        ends = sorted({e for m in members for c in m.components for e in (c.lo, c.hi)})
+        pool = sorted(ends + [(x + y) / 2 for x, y in zip(ends, ends[1:])] + [a - 1, b + 1])
+        family = [random_family_member(rng, pool) for _ in range(60)]
+        ok, witnesses = Cover(tuple(members)).refinement_witnesses(family)
+        assert (ok, witnesses) == refines(family, members)
+        witnessed += witnesses
+    # every kind of answer is exercised: no holder, the first, a later one
+    assert None in witnessed and 0 in witnessed
+    assert any(w is not None and w > 1 for w in witnessed)
 
 
 # --- window queries on part of a cover ----------------------------------------

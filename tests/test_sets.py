@@ -552,6 +552,15 @@ def disjoint(members: list[RSet]):
     return None
 
 
+def ref_relatively_open(rset: RSet, ambient: Interval) -> bool:
+    return all(
+        c.lo < c.hi
+        and (c.lo_open or c.lo <= ambient.lo)
+        and (c.hi_open or c.hi >= ambient.hi)
+        for c in rset.components
+    )
+
+
 def ref_touching(members: list[RSet], lo: F, hi: F) -> list[int]:
     return [i for i, m in enumerate(members) if any(c.lo <= hi and c.hi >= lo for c in m.components)]
 
@@ -589,8 +598,8 @@ def random_raw(rng: random.Random, pool: list[F], most: int) -> list[Interval]:
 
 def test_integer_comparisons_match_a_fraction_reference():
     """Seeded random endpoints: the integer comparisons of `Interval`,
-    `normalize`, the sweep, the discreteness checks and the cover index
-    answer as the Fraction reference bodies above do."""
+    `normalize`, relative openness, the sweep, the discreteness checks
+    and the cover index answer as the Fraction reference bodies above do."""
     rng = random.Random(1616)
     flags = [(False, False), (False, True), (True, False), (True, True)]
     for _ in range(300):
@@ -610,6 +619,8 @@ def test_integer_comparisons_match_a_fraction_reference():
                 assert c.contains_interval(d) == ref_contains_interval(c, d), (c, d)
         a = normalize(raw)
         assert a.components == ref_normalize(raw)
+        for ambient in (closed(pool[1], pool[4]), closed(pool[0], pool[-1])):
+            assert a.is_relatively_open(ambient) == ref_relatively_open(a, ambient)
         b = normalize(random_raw(rng, pool, 4))
         for x in probes:
             assert a.contains(x) == any(ref_contains(c, x) for c in a.components)
@@ -628,3 +639,27 @@ def test_integer_comparisons_match_a_fraction_reference():
             assert cover.members_touching(lo, hi) == ref_touching(members, lo, hi)
         for x in probes:
             assert cover.members_touching(x, x) == ref_touching(members, x, x)
+
+
+# (0,1);(1,2): two components whose closures meet at 1, a point of neither
+TOUCHING = "(0,1);(1,2)"
+
+
+@pytest.mark.parametrize(
+    "texts, expected",
+    [
+        ([TOUCHING, "[1,1]"], (0, 1, F(1))),  # a point member at the touch
+        (["[1,1]", TOUCHING], (0, 1, F(1))),
+        ([TOUCHING, "[5/2,3]"], F(1, 2)),  # a member at a positive gap
+        (["[-1,-1/3]", TOUCHING, "(3,4);(4,5)"], F(1, 3)),
+        ([TOUCHING, "(3/2,5/2)"], (0, 1, F(3, 2))),  # overlapping the closure
+        ([TOUCHING, "[2,3]"], (0, 1, F(2))),
+        ([TOUCHING, "(2,3);(3,4)", "[1/2,1]"], (0, 1, F(2))),
+    ],
+)
+def test_discreteness_of_members_with_touching_open_components(texts, expected):
+    """`is_discrete` sweeps the members' own components, not their closures;
+    a member whose open components touch still has the closure's gaps,
+    exception indices and shared point."""
+    members = [rs(t) for t in texts]
+    assert discrete(members) == ref_discrete(members) == expected

@@ -209,6 +209,151 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
     }
 
 
+def test_halving_cuts_cells_on_integers(monkeypatch):
+    """A machine-independent cost gate on the seed-1 benchmark match
+    `main-compact` vs `halving` (ambient [1/5,2], discrete, length w,
+    budget 8): a successful `is_discrete` builds no closure, and `_halve`
+    makes no Fraction arithmetic on a piece one member holds whole."""
+    inside = {"discrete": 0, "held piece": 0}
+    counts = {"closures": 0, "closures in certified families": 0,
+              "held pieces": 0, "fraction ops": 0}
+
+    def certified(fn):
+        def wrapped(members):
+            before = counts["closures"]
+            inside["discrete"] += 1
+            try:
+                fam = fn(members)
+            finally:
+                inside["discrete"] -= 1
+            counts["closures in certified families"] += counts["closures"] - before
+            return fam
+
+        return wrapped
+
+    closure = RSet.closure
+
+    def counted_closure(self):
+        counts["closures"] += inside["discrete"] > 0
+        return closure(self)
+
+    halve = two_strategies._halve
+
+    def counted_halve(cover, t, ambient):
+        held = cover.holding(t.lo, t.hi) is not None
+        counts["held pieces"] += held
+        inside["held piece"] += held
+        try:
+            return halve(cover, t, ambient)
+        finally:
+            inside["held piece"] -= held
+
+    def counted_op(op):
+        def wrapped(*args):
+            counts["fraction ops"] += inside["held piece"] > 0
+            return op(*args)
+
+        return wrapped
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(F, name, counted_op(getattr(F, name)))
+    monkeypatch.setattr(RSet, "closure", counted_closure)
+    monkeypatch.setattr(two_strategies, "is_discrete", certified(two_strategies.is_discrete))
+    monkeypatch.setattr(engine, "is_discrete", certified(engine.is_discrete))
+    monkeypatch.setattr(two_strategies, "_halve", counted_halve)
+    t = play(
+        GameConfig(
+            "discrete", parse_ordinal("w"), closed("1/5", 2), TargetSpec.full(),
+            "main-compact", "halving", InningSchedule(main_budget=8),
+        )
+    )
+    assert t.verdict.outcome == "one-wins-certified"
+    assert counts["closures in certified families"] == 0
+    assert counts["held pieces"] > 0
+    assert counts["fraction ops"] == 0
+
+
+def ref_halving_cells(
+    piece: Interval, m: int, at_boundary: bool
+) -> tuple[list[RSet], list[Interval]]:
+    """The cells of `halving_refinement` by Fraction arithmetic: grid
+    point i is lo + i*(hi - lo)/M."""
+    lo, hi = piece.lo, piece.hi
+    grid = [lo + i * (hi - lo) / m for i in range(m + 1)]
+    members = [
+        RSet((Interval(grid[i], grid[i + 1], True, not (i == m - 1 and at_boundary)),))
+        for i in range(1, m, 2)
+    ]
+    residual = [closed(grid[i], grid[i + 1]) for i in range(0, m, 2)]
+    if not at_boundary:
+        residual.append(closed(hi, hi))
+    return members, residual
+
+
+def ref_grid_size(cover: Cover, piece: Interval) -> int:
+    """M: 2 when one member holds the piece, else the smallest even grid
+    finer than the window supremum."""
+    if any(RSet((piece,)).is_subset(m) for m in cover.members):
+        return 2
+    return smallest_even_grid(piece.length, window_supremum(cover, piece))
+
+
+def chain_cover(rng: random.Random, a: F, b: F) -> Cover:
+    """Overlapping open intervals over [a, b], cut at 1-3 random points."""
+    w = b - a
+    cuts = sorted(a + w * F(rng.randint(1, 90), 100) for _ in range(rng.randint(1, 3)))
+    ends = [a - w / 7, *cuts, b + w / 9]
+    return Cover(tuple(RSet.interval(x - w / 50, y + w / 50) for x, y in zip(ends, ends[1:])))
+
+
+# negative ends and large coprime denominators
+BIG = (2**61 - 1, 3**40)
+HALVING_PIECES = [
+    (F(-7, BIG[0]), F(5, BIG[1])),
+    (F(-(BIG[1] + 2), BIG[1]), F(-1, BIG[0])),
+    (F(-3, 2), F(BIG[0] + 1, BIG[0])),
+    (F(-5 * BIG[1] - 1, BIG[1]), F(-4 * BIG[0] + 3, BIG[0])),
+]
+
+
+@pytest.mark.parametrize("at_boundary", [True, False])
+def test_halving_cells_match_a_fraction_reference(at_boundary):
+    """`halving_refinement` and `halving_step` cut each piece into the
+    cells lo + i*(hi - lo)/M of the Fraction reference, for M = 2 (one
+    member holds the piece) and for finer grids."""
+    rng = random.Random(1802)
+    sizes = set()
+    for lo, hi in HALVING_PIECES:
+        ambient = closed(lo, hi if at_boundary else hi + 1)
+        piece = closed(lo, hi)
+        for cover in (Cover((RSet.interval(lo - 1, hi + 1),)), chain_cover(rng, lo, hi)):
+            m = ref_grid_size(cover, piece)
+            sizes.add(m)
+            fam, residual = halving_refinement(cover, piece, ambient)
+            members, ref_residual = ref_halving_cells(piece, m, at_boundary)
+            assert (list(fam.members), residual) == (members, ref_residual)
+
+        # a residual of three pieces and a point, against one cover of all
+        cuts = [lo + (hi - lo) * F(k, 100) for k in sorted(rng.sample(range(1, 100), 5))]
+        pieces = [closed(lo, cuts[0]), closed(cuts[1], cuts[1]), closed(cuts[2], cuts[3])]
+        pieces.append(closed(cuts[-1], hi))
+        cover = chain_cover(rng, lo, hi)
+        members, ref_residual = [], []
+        for p in pieces:
+            if p.is_point:
+                ref_residual.append(p)
+                continue
+            cells, res = ref_halving_cells(
+                p, ref_grid_size(cover, p), at_boundary and p.hi == hi
+            )
+            members += cells
+            ref_residual += res
+        fam, state = halving_step(HalvingState(tuple(pieces), 0), cover, ambient)
+        assert (list(fam.members), list(state.residual)) == (members, ref_residual)
+    assert 2 in sizes and max(sizes) > 2
+
+
 @pytest.mark.parametrize("two", ["greedy", "halving"])
 def test_referee_builds_no_grid_member(monkeypatch, two):
     """A machine-independent cost gate on seed-1 `catalog-sweep` cells,
