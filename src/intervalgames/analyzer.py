@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 from .covers import ball_cover
 from .engine import referee_step
 from .errors import InputError, InvariantViolation
-from .sets import DiscreteFamily, Interval, RSet, closure_of_union, rat, union_all
+from .sets import DiscreteFamily, Interval, RSet, rat, subtract_closure, union_all
 from .two_strategies import largest_component
 
 
@@ -185,7 +185,7 @@ def dense_discrete_witness(family: DiscreteFamily, ambient: Interval) -> Uncover
     single discrete family covers the rationals of the ambient.
     """
     box = RSet((ambient.closure(),))
-    gap = box.subtract(closure_of_union(family.members))
+    gap = subtract_closure(box, family.members)
     if not gap.is_empty:
         return UncoveredWitness("interval", interval=largest_component(gap))
     if len(family.members) >= 2:

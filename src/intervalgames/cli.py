@@ -485,7 +485,7 @@ def cmd_interactive(args, stdin=None) -> int:
         if missed is None:
             print("target covered: the covering player wins")
             return EXIT_OK
-    witness = "; ".join(f"{key}: {val}" for key, val in missed.items())
+    witness = "; ".join(f"{key}: {val}" for key, val in missed().items())
     print(f"truncated after {innings} innings; {witness}")
     return EXIT_OK
 

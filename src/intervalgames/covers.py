@@ -74,11 +74,11 @@ class Cover:
 
     def holding(self, lo: Fraction, hi: Fraction) -> Optional[Interval]:
         """The component holding the closed interval [lo, hi] in the
-        lowest-indexed member that holds it, or None if no member does."""
-        piece = Interval(lo, hi, False, False)
+        lowest-indexed member that holds it, or None if no member does.
+        An interval holds [lo, hi] exactly when it holds both ends."""
         for i in self.members_touching(lo, hi):
             for c in self.member(i).components:
-                if c.contains_interval(piece):
+                if c.contains(lo) and c.contains(hi):
                     return c
         return None
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import catalog
 from .cantor import CantorSpec
@@ -42,9 +42,9 @@ from .sets import (
     FamilyNotDisjoint,
     Interval,
     RSet,
-    closure_of_union,
     is_discrete,
     is_disjoint,
+    subtract_closure,
     union_all,
 )
 
@@ -126,8 +126,11 @@ class TargetSpec:
 
     def uncovered(
         self, union: RSet, ambient: Interval, materialized: Optional[int] = None
-    ) -> Optional[dict]:
-        """A witness that `union` misses part of the target, or None.
+    ) -> Optional[Callable[[], dict]]:
+        """None when `union` covers the target, else a function that
+        builds a witness of the part it misses: the decision formats
+        nothing, and a full or closed target's missed part is only
+        computed when its witness is asked for.
 
         With `materialized` = n, a countable target is only its first n
         enumerated points, and a G-delta target is the ambient minus
@@ -136,27 +139,29 @@ class TargetSpec:
         box = RSet((ambient.closure(),))
         if self.kind == "cantor":
             pt = CantorSpec(ambient.closure()).uncovered_point(union, box)
-            return None if pt is None else {"uncovered_point": str(pt)}
+            return None if pt is None else lambda: {"uncovered_point": str(pt)}
         if self.kind in ("full", "closed"):
-            missing = self.measured_set(ambient).subtract(union)
-            return None if missing.is_empty else {"uncovered": str(missing)}
+            target = self.measured_set(ambient)
+            if target.is_subset(union):
+                return None
+            return lambda: {"uncovered": str(target.subtract(union))}
         if materialized is not None:
             points = self.enumerated_points(ambient, materialized)
             if self.kind == "countable":
                 q = next((q for q in points if not union.contains(q)), None)
-                return None if q is None else {"uncovered_point": str(q)}
+                return None if q is None else lambda: {"uncovered_point": str(q)}
             missing = box.subtract(union).subtract(RSet.points(points))
-            return None if missing.is_empty else {"uncovered": str(missing)}
+            return None if missing.is_empty else lambda: {"uncovered": str(missing)}
         points = EnumeratedPoints.named(self.param, ambient)
         for comp in box.subtract(union).components:
             if self.kind == "countable":
                 q = points.point_within(comp)
                 if q is not None:
-                    return {"uncovered_point": str(q)}
+                    return lambda: {"uncovered_point": str(q)}
             elif not comp.is_point:
-                return {"uncovered": str(comp), "note": "interval misses irrationals"}
+                return lambda: {"uncovered": str(comp), "note": "interval misses irrationals"}
             elif points.point_within(comp) is None:  # in the target: not deleted
-                return {"uncovered_point": str(comp.lo)}
+                return lambda: {"uncovered_point": str(comp.lo)}
         return None
 
     def enum_id_for(self, kind: str) -> str:
@@ -287,9 +292,9 @@ def validate_cover(proposed: Cover, target: TargetSpec, ambient: Interval) -> Co
                 raise IllegalMove(
                     "one", "NotOpen", {"member": i, "set": str(m)}
                 )
-    witness = target.uncovered(proposed.union, ambient)
-    if witness is not None:
-        raise IllegalMove("one", "IncompleteCover", witness)
+    missed = target.uncovered(proposed.union, ambient)
+    if missed is not None:
+        raise IllegalMove("one", "IncompleteCover", missed())
     return proposed
 
 
@@ -364,8 +369,7 @@ def _verify_certified_chain(
     if len(ts) != len(records) or len(opens) != len(ts) + 1:
         return None
     for n, rec in enumerate(records):
-        o_box = RSet((opens[n],))
-        expected_t = o_box.subtract(closure_of_union(rec.family.members))
+        expected_t = subtract_closure(RSet((opens[n],)), rec.family.members)
         if expected_t.is_empty or expected_t != ts[n]:
             raise InvariantViolation("certificate chain does not revalidate")
         if not RSet((opens[n + 1].closure(),)).is_subset(ts[n]):

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .covers import Cover, ball_cover
 from .errors import InvariantViolation
 from .sequences import EnumeratedPoints
-from .sets import Interval, RSet, closure_of_union
+from .sets import Interval, RSet, subtract_closure
 from .two_strategies import largest_component, middle_half
 
 
@@ -201,8 +201,7 @@ class OneMain(OneBot):
         return avoid_cover(self.opens[-1], self.ambient)
 
     def observe(self, family: Sequence[RSet]) -> None:
-        o_box = RSet((self.opens[-1],))
-        t = o_box.subtract(closure_of_union(family))
+        t = subtract_closure(RSet((self.opens[-1],)), family)
         if t.is_empty:
             raise InvariantViolation(
                 "a discrete family swallowed a nontrivial connected open set"

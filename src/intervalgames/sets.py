@@ -225,7 +225,7 @@ class RSet:
         return bool(held) and held[0].contains(x)
 
     def closure(self) -> "RSet":
-        return closure_of_union((self,))
+        return normalize(c.closure() for c in self.components)
 
     def interior(self) -> "RSet":
         kept = [
@@ -315,11 +315,22 @@ def union_all(rsets: Iterable[RSet]) -> RSet:
     return normalize(c for rs in rsets for c in rs.components)
 
 
-def closure_of_union(rsets: Iterable[RSet]) -> RSet:
-    """Closure of the union of many RSets (empty for none) in one merge
-    pass: the closure of a finite union is the union of its components'
-    closures."""
-    return normalize(c.closure() for rs in rsets for c in rs.components)
+def subtract_closure(x: RSet, family: Iterable[RSet]) -> RSet:
+    """The nonempty set x minus the closure of the union of `family`.
+
+    The closure of a finite union is the union of its components'
+    closures, and a closure that misses x's closed hull [a, b] removes
+    no point of x, so only the components whose closure meets [a, b]
+    (lo <= b and hi >= a, as integers) are closed and merged."""
+    an, ad = x.components[0]._ends[:2]
+    bn, bd = x.components[-1]._ends[2:]
+    near = [
+        c.closure()
+        for rs in family
+        for c in rs.components
+        if c._ends[0] * bd <= bn * c._ends[1] and c._ends[2] * ad >= an * c._ends[3]
+    ]
+    return x.subtract(normalize(near))
 
 
 def _events(rset: RSet, q: int) -> list[tuple[int, Fraction, bool, bool]]:

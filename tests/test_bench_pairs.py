@@ -80,3 +80,19 @@ def test_an_odd_seed_count_is_refused_before_anything_runs(tmp_path, seeds):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "even count" in proc.stderr, proc.stderr
     assert not out.exists()
+
+
+def test_summary_lines_read_medians_change_wins_and_bound():
+    parent = [(4.0, 0.10), (5.0, 0.10), (6.0, 0.10)]
+    change = [(6.0, 0.12), (5.0, 0.09), (7.5, 0.12)]
+    s = bench_pairs.summarize(runs(parent, change), METRICS)
+    assert bench_pairs.summary_lines("certified-main", s) == [
+        "certified-main matches_per_s: 5 -> 6 (+20.0%), change won 2/3 pairs, within_bound True",
+        "certified-main setup_s: 0.1 -> 0.12 (+20.0%), change won 1/3 pairs, within_bound True",
+    ]
+    s["parent"]["matches_per_s"]["median"] = 4123456.0
+    s["change"]["matches_per_s"]["median"] = 4123456.0
+    assert bench_pairs.summary_lines("grid-limit", s)[0] == (
+        "grid-limit matches_per_s: 4123456 -> 4123456 (+0.0%), change won 2/3 pairs, "
+        "within_bound True"
+    )

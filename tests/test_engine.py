@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,9 +12,11 @@ from intervalgames.cantor import CantorSpec
 from intervalgames import covers, engine, sets
 from intervalgames.covers import Cover, CoverError, ball_cover, window_supremum
 from intervalgames.engine import (
+    CheckedFamily,
     ConfigError,
     GameConfig,
     IllegalMove,
+    InningRecord,
     TargetSpec,
     length_bracket_report,
     lift_to_closed_subspace,
@@ -22,7 +25,9 @@ from intervalgames.engine import (
     replay_families_under_ruleset,
     validate_cover,
 )
+from intervalgames.one_strategies import OneMain
 from intervalgames.ordinals import InningSchedule, parse_ordinal
+from intervalgames.sequences import EnumeratedPoints
 from intervalgames.sets import Interval, RSet, closed, normalize, parse_rset, union_all
 from intervalgames.two_strategies import chain_puncture_refinement
 
@@ -759,3 +764,170 @@ def test_cantor_target_sweeps_at_length_one():
         schedule=InningSchedule(main_budget=4),
     )
     assert report["bracket"]["smallest_two_sweep"] == "1"
+
+
+def ref_uncovered(target: TargetSpec, union: RSet, ambient: Interval, materialized=None):
+    """The witness of a missed target part, built eagerly for every target
+    kind: the reference for `TargetSpec.uncovered`'s decision and for the
+    witnesses it builds only when asked."""
+    box = RSet((ambient.closure(),))
+    if target.kind == "cantor":
+        pt = CantorSpec(ambient.closure()).uncovered_point(union, box)
+        return None if pt is None else {"uncovered_point": str(pt)}
+    if target.kind in ("full", "closed"):
+        missing = target.measured_set(ambient).subtract(union)
+        return None if missing.is_empty else {"uncovered": str(missing)}
+    if materialized is not None:
+        points = target.enumerated_points(ambient, materialized)
+        if target.kind == "countable":
+            q = next((q for q in points if not union.contains(q)), None)
+            return None if q is None else {"uncovered_point": str(q)}
+        missing = box.subtract(union).subtract(RSet.points(points))
+        return None if missing.is_empty else {"uncovered": str(missing)}
+    points = EnumeratedPoints.named(target.param, ambient)
+    for comp in box.subtract(union).components:
+        if target.kind == "countable":
+            q = points.point_within(comp)
+            if q is not None:
+                return {"uncovered_point": str(q)}
+        elif not comp.is_point:
+            return {"uncovered": str(comp), "note": "interval misses irrationals"}
+        elif points.point_within(comp) is None:
+            return {"uncovered_point": str(comp.lo)}
+    return None
+
+
+def random_unions(rng: random.Random, ambient: Interval, target: TargetSpec) -> list[RSet]:
+    """Unions that miss the target and unions that cover it: random pieces
+    of the ambient, the whole ambient, and the ambient without its first
+    enumerated points, each with a random piece added or taken out."""
+    a, length = ambient.lo, ambient.length
+
+    def piece() -> Interval:
+        lo, hi = sorted(a + F(rng.randint(0, 24), 24) * length for _ in range(2))
+        if lo == hi:
+            return Interval(lo, lo, False, False)
+        return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+    box = RSet((ambient,))
+    holes = RSet.empty()
+    if target.param:
+        holes = RSet.points(target.enumerated_points(ambient, rng.randint(0, 4)))
+    bases = [normalize(piece() for _ in range(rng.randint(1, 4))), box, box.subtract(holes)]
+    out = []
+    for base in bases:
+        extra = normalize([piece()])
+        out += [base, base.union(extra), base.subtract(extra)]
+    return out
+
+
+def test_coverage_decision_matches_the_eager_witness():
+    """For every target kind, over seeded random unions: `uncovered` and
+    the adjudicator call a target covered exactly when the eager
+    reference finds no witness, and a missed target's witness, from
+    `uncovered` and in `validate_cover`'s `IncompleteCover`, is the
+    reference's, text for text."""
+    rng = random.Random(1919)
+    targets = [
+        TargetSpec.full(),
+        TargetSpec.parse("closed:[0,1/4];[1/2,1]"),
+        TargetSpec.cantor(),
+        TargetSpec.countable(),
+        TargetSpec.gdelta(),
+    ]
+    seen: dict[tuple[str, bool, bool], int] = {}
+    for _ in range(12):
+        for target in targets:
+            for ambient in (AMBIENT, closed(-1, 2)):
+                cfg = GameConfig("discrete", parse_ordinal("w"), ambient, target, "one", "two")
+                for union in random_unions(rng, ambient, target):
+                    for materialized in (None, 1, 2, 4):
+                        ref = ref_uncovered(target, union, ambient, materialized)
+                        missed = target.uncovered(union, ambient, materialized)
+                        assert (missed is None) == (ref is None), (target, union, materialized)
+                        key = (target.kind, materialized is None, ref is None)
+                        seen[key] = seen.get(key, 0) + 1
+                        if ref is not None:
+                            assert missed() == ref
+                        if materialized is None:
+                            continue
+                        # `_adjudicate` reads only the records' families
+                        members = tuple(RSet((c,)) for c in union.components)
+                        families = [members] + [()] * (materialized - 1)
+                        records = [
+                            InningRecord(None, None, CheckedFamily(f, "discrete", None))
+                            for f in families
+                        ]
+                        verdict = engine._adjudicate(cfg, None, records, complete=True)
+                        assert (verdict.outcome == "two-wins-covered") == (ref is None)
+                    opened = union.interior()
+                    if opened.is_empty:
+                        continue
+                    ref = ref_uncovered(target, opened, ambient)
+                    try:
+                        validate_cover(Cover((opened,)), target, ambient)
+                        assert ref is None
+                    except IllegalMove as exc:
+                        assert (exc.kind, exc.detail) == ("IncompleteCover", ref)
+    assert len(seen) == 20 and min(seen.values()) > 10, seen
+
+
+def test_certified_chain_and_adjudication_read_only_what_decides_them(monkeypatch):
+    """A machine-independent cost gate on the seed-1 benchmark match
+    `main-compact` vs `halving` (ambient [1/5,2], discrete, length w,
+    budget 8): the coverage decisions subtract and format nothing, ONE and
+    the chain's recheck close only the family components near O_n, and
+    `Cover.holding` builds no interval."""
+    inside = {"adjudicate": 0, "chain": 0, "validate": 0, "observe": 0, "holding": 0}
+    counts: dict[tuple[str, str], int] = {}
+
+    def scoped(scope, fn):
+        def wrapped(*args):
+            inside[scope] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[scope] -= 1
+
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args):
+            for scope, depth in inside.items():
+                if depth:
+                    counts[scope, name] = counts.get((scope, name), 0) + 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(engine, "_adjudicate", scoped("adjudicate", engine._adjudicate))
+    monkeypatch.setattr(
+        engine, "_verify_certified_chain", scoped("chain", engine._verify_certified_chain)
+    )
+    monkeypatch.setattr(engine, "validate_cover", scoped("validate", engine.validate_cover))
+    monkeypatch.setattr(OneMain, "observe", scoped("observe", OneMain.observe))
+    monkeypatch.setattr(Cover, "holding", scoped("holding", Cover.holding))
+    monkeypatch.setattr(RSet, "subtract", counted("subtract", RSet.subtract))
+    monkeypatch.setattr(RSet, "__str__", counted("str", RSet.__str__))
+    monkeypatch.setattr(Interval, "closure", counted("closure", Interval.closure))
+    monkeypatch.setattr(Interval, "__post_init__", counted("built", Interval.__post_init__))
+    t = play(
+        GameConfig(
+            "discrete", parse_ordinal("w"), closed("1/5", 2), TargetSpec.full(),
+            "main-compact", "halving", InningSchedule(main_budget=8),
+        )
+    )
+    assert t.verdict.outcome == "one-wins-certified"
+    innings = len(t.records)
+    assert innings == 8
+
+    def n(scope: str, name: str) -> int:
+        return counts.get((scope, name), 0)
+
+    # the chain's own subtractions and certificate texts nest in `_adjudicate`
+    assert n("adjudicate", "subtract") == n("chain", "subtract")
+    assert n("adjudicate", "str") == n("chain", "str")
+    assert n("validate", "subtract") == 0
+    assert n("observe", "closure") <= 4 * innings
+    assert n("chain", "closure") <= 4 * innings
+    assert n("holding", "built") == 0

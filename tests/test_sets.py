@@ -25,6 +25,7 @@ from intervalgames.sets import (
     point,
     point_distance,
     refines,
+    union_all,
     witness_radius,
 )
 
@@ -663,3 +664,37 @@ def test_discreteness_of_members_with_touching_open_components(texts, expected):
     exception indices and shared point."""
     members = [rs(t) for t in texts]
     assert discrete(members) == ref_discrete(members) == expected
+
+
+def test_subtract_closure_matches_the_closure_of_the_union():
+    """Seeded random x (open, closed, half-open, a point, several pieces)
+    and families of 1-3-component members, with components that touch x's
+    ends from outside, open or closed, and points at x's ends: x minus the
+    closure of the family's union, whose far components `subtract_closure`
+    never closes, is what subtracting the whole closure leaves."""
+    rng = random.Random(1919)
+    flags = [(False, False), (False, True), (True, False), (True, True)]
+    for trial in range(400):
+        pool = random_pool(rng)
+        a, b = sorted(rng.sample(pool, 2))
+        xs = [RSet((Interval(a, b, *f),)) for f in flags]
+        xs += [RSet((point(a),)), normalize(random_raw(rng, pool, 3) or [point(b)])]
+        outside = [
+            Interval(a - 1, a, rng.random() < 0.5, rng.random() < 0.5),
+            Interval(b, b + 1, rng.random() < 0.5, rng.random() < 0.5),
+            point(a),
+            point(b),
+        ]
+        family = []
+        for _ in range(rng.randint(0, 4) if trial % 10 else 0):
+            comps = [
+                rng.choice(outside) if rng.random() < 0.5 else random_interval(rng, pool)
+                for _ in range(rng.randint(1, 3))
+            ]
+            family.append(normalize(comps))
+        closure = union_all(family).closure()
+        for x in xs:
+            got = sets.subtract_closure(x, family)
+            want = x.subtract(closure)
+            assert got.components == want.components, (x, family)
+            assert str(got) == str(want)

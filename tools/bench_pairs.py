@@ -21,6 +21,9 @@ workload, `against_bound` reads each end-to-end metric against its
 change from the parent median in the metric's worse direction (negative
 when it got better), `within_bound` whether that stays at or below
 `bound`, and `parent_iqr` the distance between the parent's quartiles.
+Once the file is written, stderr gets one line per workload and metric:
+parent median -> change median, the relative change, the pairs the
+change won and `within_bound`.
 """
 
 from __future__ import annotations
@@ -110,6 +113,23 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def number(v: float) -> str:
+    return f"{v:.4g}" if abs(v) < 1e4 else f"{v:.0f}"
+
+
+def summary_lines(workload: str, summary: dict) -> list[str]:
+    """One line per metric of one workload's `summarize` result."""
+    lines = []
+    for name, against in summary["against_bound"].items():
+        p, c = summary["parent"][name]["median"], summary["change"][name]["median"]
+        lines.append(
+            f"{workload} {name}: {number(p)} -> {number(c)} ({(c - p) / p:+.1%}), "
+            f"change won {summary['change_wins'][name]} pairs, "
+            f"within_bound {against['within_bound']}"
+        )
+    return lines
+
+
 def machine() -> str:
     model = platform.processor() or platform.machine()
     try:
@@ -159,6 +179,8 @@ def main() -> int:
                           f"{json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
             report["workloads"][workload] = {"runs": runs, **summarize(runs, metrics)}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    for workload, summary in report["workloads"].items():
+        print("\n".join(summary_lines(workload, summary)), file=sys.stderr)
     return 0
 
 
