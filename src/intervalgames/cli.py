@@ -398,6 +398,25 @@ def _parse_family(line: str) -> list[RSet]:
     return [RSet((parse_interval(part),)) for part in text.split(";")]
 
 
+def _prompt_until_accepted(stdin, text: str, accept):
+    """Prompt with `text` until `accept(line)` returns; None when the
+    human resigns (`quit` or end of input).  A line that does not parse
+    gets the grammar hint, a move the referee rejects its witness."""
+    while True:
+        print(text, end="", flush=True)
+        line = stdin.readline()
+        if not line or line.strip() == "quit":
+            print("resigned")
+            return None
+        try:
+            return accept(line)
+        except ValueError as exc:
+            print(f"  cannot parse: {exc}")
+            print(f"  {GRAMMAR_HINT}")
+        except IllegalMove as exc:
+            print(f"  rejected ({exc.kind}): {exc.detail}")
+
+
 def cmd_interactive(args, stdin=None) -> int:
     stdin = stdin or sys.stdin
     innings = _int_arg("innings", args.innings)
@@ -424,14 +443,6 @@ def cmd_interactive(args, stdin=None) -> int:
     print(GRAMMAR_HINT)
     covered = RSet.empty()
     box = target.measured_set(ambient)
-
-    def prompt(text: str):
-        print(text, end="", flush=True)
-        line = stdin.readline()
-        if not line:
-            return None
-        return line.strip()
-
     for inning in range(innings):
         if human_side == "two":
             cover = validate_cover(bot.next_cover(), target, ambient)
@@ -439,41 +450,23 @@ def cmd_interactive(args, stdin=None) -> int:
             print(f"inning {inning}: cover with {len(texts)} members:")
             for i, text in enumerate(texts):
                 print(f"  [{i}] {text}")
-            while True:
-                line = prompt("your family> ")
-                if line is None or line == "quit":
-                    print("resigned")
-                    return EXIT_OK
-                try:
-                    family = _parse_family(line)
-                except ValueError as exc:
-                    print(f"  cannot parse: {exc}")
-                    print(f"  {GRAMMAR_HINT}")
-                    continue
-                try:
-                    checked = referee_step(ruleset, cover, family, ambient)
-                except IllegalMove as exc:
-                    print(f"  rejected ({exc.kind}): {exc.detail}")
-                    continue
-                break
+            checked = _prompt_until_accepted(
+                stdin,
+                "your family> ",
+                lambda line: referee_step(ruleset, cover, _parse_family(line), ambient),
+            )
+            if checked is None:
+                return EXIT_OK
             covered = covered.union(union_all(list(checked.members)))
             bot.observe(checked.members)
         else:
-            while True:
-                line = prompt(f"inning {inning}, your cover> ")
-                if line is None or line == "quit":
-                    print("resigned")
-                    return EXIT_OK
-                try:
-                    cover = validate_cover(Cover(_parse_family(line)), target, ambient)
-                except ValueError as exc:
-                    print(f"  cannot parse: {exc}")
-                    print(f"  {GRAMMAR_HINT}")
-                    continue
-                except IllegalMove as exc:
-                    print(f"  rejected ({exc.kind}): {exc.detail}")
-                    continue
-                break
+            cover = _prompt_until_accepted(
+                stdin,
+                f"inning {inning}, your cover> ",
+                lambda line: validate_cover(Cover(_parse_family(line)), target, ambient),
+            )
+            if cover is None:
+                return EXIT_OK
             family = bot.respond(inning, cover)
             checked = referee_step(ruleset, cover, family, ambient)
             print(f"  opponent family ({len(checked.members)} members):")
@@ -583,24 +576,22 @@ def cmd_bracket(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {
+    "play": cmd_play,
+    "demo": cmd_demo,
+    "analyze": cmd_analyze,
+    "check": cmd_check,
+    "interactive": cmd_interactive,
+    "bracket": cmd_bracket,
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = _apply_config_file(parser, parser.parse_args(argv), argv)
-        if args.command == "play":
-            return cmd_play(args)
-        if args.command == "demo":
-            return cmd_demo(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "interactive":
-            return cmd_interactive(args)
-        if args.command == "bracket":
-            return cmd_bracket(args)
-        raise InputError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,9 +18,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional
 
-from .sets import Interval, RSet, _tagged_components, normalize, rat, union_all
+from .sets import Interval, RSet, normalize, rat, scaled_components, union_all
 
 
 class CoverError(ValueError):
@@ -119,14 +120,16 @@ def _point_index(members: Sequence[RSet]) -> tuple:
     members' endpoints and, over the member components sorted by left
     end, their left ends and right ends as integers over q, the running
     maximum of those right ends, and the index of each one's member."""
-    q, tagged = _tagged_components(members)
-    los, his, _, owner = zip(*tagged) if tagged else ((), (), (), ())
+    q, comps = scaled_components(members)
+    comps.sort(key=itemgetter(0, 1))
+    los, his, _, owner = zip(*comps) if comps else ((), (), (), ())
     return q, los, his, tuple(accumulate(his, max)), owner
 
 
-def _target_interval(cover: Cover, part: Interval) -> Interval:
-    """The closed interval [a, b] a query asks about: `part`.  It must lie
-    inside the cover's union, so the members touching it cover it."""
+def checked_window(cover: Cover, part: Interval) -> Interval:
+    """The closed interval [a, b] a query asks about: `part`, or a
+    `CoverError` naming it.  It must have positive length and lie inside
+    the cover's union, so the members touching it cover it."""
     if part.lo_open or part.hi_open:
         raise CoverError(f"the queried window {part} must be a single closed interval")
     if part.is_point:
@@ -159,14 +162,14 @@ def window_supremum(cover: Cover, part: Interval) -> Fraction:
     starting at a grid point jh fits only in member j, which ends at
     (j+1)h, and every window shorter than h fits in member j or j+1.
     """
-    t = _target_interval(cover, part)
+    t = checked_window(cover, part)
     if cover.holding(t.lo, t.hi) is not None:
         return t.length
     return _supremum_on(cover, t)
 
 
 def _supremum_on(cover: Cover, t: Interval) -> Fraction:
-    """`window_supremum` on a [a, b] that `_target_interval` has checked
+    """`window_supremum` on a [a, b] that `checked_window` has passed
     and that no single member holds."""
     if isinstance(cover, GridCover) and t == cover.ambient:
         return cover.step
@@ -227,7 +230,7 @@ def lebesgue_counterexample(cover: Cover, part: Interval, delta) -> Optional[Int
     delta = rat(delta)
     if delta <= 0:
         raise CoverError("delta must be positive")
-    t = _target_interval(cover, part)
+    t = checked_window(cover, part)
     a, b = t.lo, t.hi
     if b - delta < a:
         return None  # no window of this length fits in [a, b]
@@ -417,7 +420,7 @@ def chain_subcover(cover: Cover, part: Interval) -> list[int]:
     so consecutive links overlap, non-consecutive links are disjoint,
     and each link alone holds the point it was chosen for.
     """
-    t = _target_interval(cover, part)
+    t = checked_window(cover, part)
     a, b = t.lo, t.hi
     box = RSet((t,))
     # each trace as (start, reach): start (lo, lo_open) sorts closed left

@@ -326,28 +326,19 @@ def referee_step(
             "IllegalRefinement",
             {"member": bad, "set": str(fam[bad])},
         )
-    if ruleset == "discrete":
-        try:
-            cert = is_discrete(fam)
-        except FamilyNotDiscrete as exc:
-            raise IllegalMove(
-                "two",
-                "NotDiscrete",
-                {
-                    "members": [exc.index_a, exc.index_b],
-                    "shared_point": str(exc.point),
-                },
-            ) from exc
-        return CheckedFamily(cert.members, ruleset, cert.min_gap)
+    min_gap = None
     try:
-        is_disjoint(fam)
-    except FamilyNotDisjoint as exc:
+        if ruleset == "discrete":
+            min_gap = is_discrete(fam).min_gap
+        else:
+            is_disjoint(fam)
+    except (FamilyNotDiscrete, FamilyNotDisjoint) as exc:
         raise IllegalMove(
             "two",
-            "NotDisjoint",
+            "NotDiscrete" if ruleset == "discrete" else "NotDisjoint",
             {"members": [exc.index_a, exc.index_b], "shared_point": str(exc.point)},
         ) from exc
-    return CheckedFamily(fam, ruleset, None)
+    return CheckedFamily(fam, ruleset, min_gap)
 
 
 # --- adjudication ------------------------------------------------------------

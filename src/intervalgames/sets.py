@@ -34,29 +34,29 @@ def rat(value) -> Fraction:
     return Fraction(value)
 
 
-class FamilyNotDiscrete(ValueError):
+class _MeetingPair(ValueError):
+    """Two members of a would-be family meet (`meeting` says how): the
+    pair, with a shared point."""
+
+    def __init__(self, index_a: int, index_b: int, point: Fraction):
+        self.index_a = index_a
+        self.index_b = index_b
+        self.point = point
+        super().__init__(
+            f"members {index_a} and {index_b} {self.meeting} (shared point {point})"
+        )
+
+
+class FamilyNotDiscrete(_MeetingPair):
     """Two members of a would-be discrete family have meeting closures."""
 
-    def __init__(self, index_a: int, index_b: int, point: Fraction):
-        self.index_a = index_a
-        self.index_b = index_b
-        self.point = point
-        super().__init__(
-            f"members {index_a} and {index_b} have meeting closures "
-            f"(shared point {point})"
-        )
+    meeting = "have meeting closures"
 
 
-class FamilyNotDisjoint(ValueError):
+class FamilyNotDisjoint(_MeetingPair):
     """Two members of a would-be disjoint family share a point."""
 
-    def __init__(self, index_a: int, index_b: int, point: Fraction):
-        self.index_a = index_a
-        self.index_b = index_b
-        self.point = point
-        super().__init__(
-            f"members {index_a} and {index_b} intersect (shared point {point})"
-        )
+    meeting = "intersect"
 
 
 @dataclass(frozen=True)
@@ -442,51 +442,53 @@ class DiscreteFamily:
         return len(self.members)
 
 
-def _tagged_components(rsets: Sequence[RSet]) -> tuple[int, list[tuple]]:
+def scaled_components(rsets: Sequence[RSet]) -> tuple[int, list[tuple]]:
     """The common denominator q of the sets' endpoints, and every
     component as (lo times q, hi times q, component, index of its set),
-    sorted by (lo, hi)."""
+    set by set in order; a sweep sorts it by (lo, hi) itself."""
     comps = [(c, i) for i, rs in enumerate(rsets) for c in rs.components]
     q = _common_denominator(c for c, _ in comps)
-    tagged = []
+    scaled = []
     for c, i in comps:
         ln, ld, hn, hd = c._ends
-        tagged.append((ln * (q // ld), hn * (q // hd), c, i))
-    tagged.sort(key=itemgetter(0, 1))
-    return q, tagged
+        scaled.append((ln * (q // ld), hn * (q // hd), c, i))
+    return q, scaled
 
 
-def is_discrete(members: Sequence[RSet]) -> DiscreteFamily:
-    """Certify pairwise disjoint closures, or raise FamilyNotDiscrete.
+def _family_sweep(members: tuple[RSet, ...], closures: bool) -> Optional[Fraction]:
+    """The least gap between components of different members (None when
+    no two members have components), or raise on the first meeting pair:
+    FamilyNotDiscrete when `closures` meet, FamilyNotDisjoint when the
+    sets themselves do.
 
-    For finite families of sets on the line this is exactly
-    discreteness: every point then has a ball meeting at most one
-    member (see :func:`witness_radius`).
-
-    The sweep reads the members' own components, whose closures have
-    the same ends; no closure is built unless a witness is needed.  It
-    relies on each member being canonical: two components of one member
-    meet at most at a shared open end, which their closures share too,
-    so the components of a member's closure lie contiguous in the sweep
-    and only pairs of different members are measured.
+    The two rulesets differ only at a zero gap: closures always meet
+    there, the sets only where both ends are closed.  The sweep reads the
+    members' own components, whose closures have the same ends; no
+    closure is built unless a witness is needed.  It relies on each
+    member being canonical: two components of one member meet at most at
+    a shared open end, which their closures share too, so the components
+    of a member lie contiguous in the sweep and only pairs of different
+    members are measured.
     """
-    members = tuple(members)
     for i, m in enumerate(members):
         if m.is_empty:
             raise ValueError(f"family member {i} is empty")
     if len(members) <= 1:
-        return DiscreteFamily(members, None)
-    q, tagged = _tagged_components(members)
+        return None
+    q, comps = scaled_components(members)
+    comps.sort(key=itemgetter(0, 1))
     min_gap: Optional[int] = None  # times q
-    for (_, cur_hi, _, ci), (nxt_lo, _, _, ni) in zip(tagged, tagged[1:]):
+    for (_, cur_hi, cur, ci), (nxt_lo, _, nxt, ni) in zip(comps, comps[1:]):
         if ci == ni:
             continue
         gap = nxt_lo - cur_hi
-        if gap <= 0:
-            raise FamilyNotDiscrete(*_first_meeting_pair([m.closure() for m in members]))
+        if gap < 0 or (gap == 0 and (closures or not (cur.hi_open or nxt.lo_open))):
+            if closures:
+                raise FamilyNotDiscrete(*_first_meeting_pair([m.closure() for m in members]))
+            raise FamilyNotDisjoint(*_first_meeting_pair(members))
         if min_gap is None or gap < min_gap:
             min_gap = gap
-    return DiscreteFamily(members, None if min_gap is None else Fraction(min_gap, q))
+    return None if min_gap is None else Fraction(min_gap, q)
 
 
 def _first_meeting_pair(rsets: Sequence[RSet]) -> tuple[int, int, Fraction]:
@@ -500,21 +502,21 @@ def _first_meeting_pair(rsets: Sequence[RSet]) -> tuple[int, int, Fraction]:
     raise AssertionError("no meeting pair found")
 
 
+def is_discrete(members: Sequence[RSet]) -> DiscreteFamily:
+    """Certify pairwise disjoint closures, or raise FamilyNotDiscrete.
+
+    For finite families of sets on the line this is exactly
+    discreteness: every point then has a ball meeting at most one
+    member (see :func:`witness_radius`).
+    """
+    members = tuple(members)
+    return DiscreteFamily(members, _family_sweep(members, closures=True))
+
+
 def is_disjoint(members: Sequence[RSet]) -> tuple[RSet, ...]:
     """Check pairwise disjointness (as point sets); raise with a witness."""
     members = tuple(members)
-    for i, m in enumerate(members):
-        if m.is_empty:
-            raise ValueError(f"family member {i} is empty")
-    _, tagged = _tagged_components(members)
-    for (_, cur_hi, cur, ci), (nxt_lo, _, nxt, ni) in zip(tagged, tagged[1:]):
-        if ci == ni:
-            continue
-        touching = nxt_lo < cur_hi or (
-            nxt_lo == cur_hi and not cur.hi_open and not nxt.lo_open
-        )
-        if touching:
-            raise FamilyNotDisjoint(*_first_meeting_pair(members))
+    _family_sweep(members, closures=False)
     return members
 
 

@@ -22,10 +22,10 @@ from .cantor import CantorSpec
 from .covers import (
     Cover,
     CoverError,
-    _supremum_on,
-    _target_interval,
     chain_subcover,
+    checked_window,
     lebesgue_number,
+    window_supremum,
 )
 from .errors import InvariantViolation
 from .sequences import EnumeratedPoints
@@ -33,9 +33,9 @@ from .sets import (
     DiscreteFamily,
     Interval,
     RSet,
-    _common_denominator,
     is_discrete,
     rat,
+    scaled_components,
 )
 
 
@@ -69,25 +69,28 @@ def halving_refinement(
     the cell stays (g, b) and the point b joins the residual as a
     degenerate closed piece, to be absorbed by a later fattening move.
     """
-    members, residual = _halve(cover, _target_interval(cover, piece), ambient)
+    members, residual = _halve(cover, checked_window(cover, piece), ambient)
     return is_discrete(members), residual
 
 
 def _halve(
     cover: Cover, t: Interval, ambient: Interval
 ) -> tuple[list[RSet], list[Interval]]:
-    """`halving_refinement`'s cells on a checked [a, b], uncertified."""
-    ln, ld, hn, hd = t._ends
-    at_boundary = (hn, hd) == ambient._ends[2:]
+    """`halving_refinement`'s cells on a closed [a, b] of positive length,
+    uncertified.  A held [a, b] lies in the cover's union; `window_supremum`
+    refuses any other one outside it."""
+    lo, hi = t.lo, t.hi
+    at_boundary = hi == ambient.hi
     # a member holding all of [a, b] gives supremum b - a, so M = 2, and
     # it holds both cells; otherwise each cell's fit is checked
-    held = cover.holding(t.lo, t.hi) is not None
-    m = 2 if held else smallest_even_grid(t.length, _supremum_on(cover, t))
+    held = cover.holding(lo, hi) is not None
+    m = 2 if held else smallest_even_grid(t.length, window_supremum(cover, t))
     # over den = lcm(ld, hd) * M the ends are integers and so is the step
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     den = lcm(ld, hd) * m
     lo_n = ln * (den // ld)
     step = (hn * (den // hd) - lo_n) // m
-    grid = [t.lo, *(Fraction(lo_n + i * step, den) for i in range(1, m)), t.hi]
+    grid = [lo, *(Fraction(lo_n + i * step, den) for i in range(1, m)), hi]
     if not held:
         for i in range(m):
             if cover.holding(grid[i], grid[i + 1]) is None:
@@ -102,7 +105,7 @@ def _halve(
         Interval(grid[i], grid[i + 1], False, False) for i in range(0, m, 2)
     ]
     if not at_boundary:
-        residual.append(Interval(t.hi, t.hi, False, False))
+        residual.append(Interval(hi, hi, False, False))
     return members, residual
 
 
@@ -144,7 +147,7 @@ def halving_step(
         if piece.is_point:
             new_residual.append(piece)
             continue
-        cells, res = _halve(cover, _target_interval(cover, piece), ambient)
+        cells, res = _halve(cover, piece, ambient)
         members.extend(cells)
         new_residual.extend(res)
     return is_discrete(members), HalvingState(tuple(new_residual), state.inning + 1)
@@ -298,10 +301,9 @@ def chain_puncture_refinement(
     puncture points, so the family is a legal disjoint-ruleset move and
     an illegal discrete-ruleset move whenever the chain has >= 2 links.
     """
-    t = _target_interval(cover, part)
-    a, b = t.lo, t.hi
-    box = RSet((t,))
-    chain = chain_subcover(cover, t)
+    chain = chain_subcover(cover, part)
+    a, b = part.lo, part.hi
+    box = RSet((part,))
     clipped = [cover.member(i).intersect(box).components[0] for i in chain]
     # consecutive links overlap in exactly the open interval (nxt.lo, cur.hi)
     punctures = [(nxt.lo + cur.hi) / 2 for cur, nxt in zip(clipped, clipped[1:])]
@@ -417,10 +419,10 @@ class GreedyTwo(TwoBot):
     """Quarter-shrinks every member component and keeps a maximal
     closure-disjoint subcollection, largest first.
 
-    Selection runs on integers over D, the lcm of the endpoint
-    denominators of the positive-length components: (l, h) becomes
-    L = lD, H = hD, and its quarter-shrunk candidate is (3L+H, L+3H)
-    over 4D.  Candidates are tried by (L-H, 3L+H, L+3H), the order the
+    Selection runs on the members' components as integers over their
+    common denominator D (`scaled_components`): a positive-length
+    component (l, h) is (L, H) = (lD, hD), and its quarter-shrunk
+    candidate is (3L+H, L+3H) over 4D.  Candidates are tried by (L-H, 3L+H, L+3H), the order the
     Fraction key (-length, lo, hi) gives: longest first, ties leftmost.
     One is kept when a positive gap separates it from both accepted
     neighbours.  Fractions and `Interval`s are built only for the kept
@@ -428,13 +430,8 @@ class GreedyTwo(TwoBot):
     """
 
     def respond(self, inning: int, cover: Cover) -> list[RSet]:
-        comps = [c for m in cover.members for c in m.components if not c.is_point]
-        d = _common_denominator(comps)
-        cands = []
-        for c in comps:
-            ln, ld, hn, hd = c._ends
-            lo, hi = ln * (d // ld), hn * (d // hd)
-            cands.append((lo - hi, 3 * lo + hi, lo + 3 * hi))
+        d, comps = scaled_components(cover.members)
+        cands = [(lo - hi, 3 * lo + hi, lo + 3 * hi) for lo, hi, _, _ in comps if lo != hi]
         cands.sort()
         los: list[int] = []  # accepted candidates, sorted by left end
         his: list[int] = []

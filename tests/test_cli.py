@@ -404,6 +404,20 @@ def test_interactive_running_measure_is_taken_on_a_closed_target(monkeypatch, ca
     assert "uncovered measure so far: 1/8\n" in capsys.readouterr().out
 
 
+def test_interactive_halving_refuses_a_cover_missing_its_residual(monkeypatch, capsys):
+    # (-1,1/2) holds the closed target [0,1/4], so the referee accepts it,
+    # but halving's first residual piece is the whole ambient [0,1]
+    code = run_cli(
+        "interactive", "--as", "one", "--two", "halving", "--target", "closed:[0,1/4]",
+        stdin_text="(-1,1/2)\n", monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "cover error: members do not cover the queried window [0,1]; "
+        "uncovered part: [1/2,1]\n"
+    )
+
+
 def test_interactive_side_from_the_config_file(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "side.cfg"
     cfg.write_text("as = two\n")

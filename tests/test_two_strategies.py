@@ -8,7 +8,7 @@ import pytest
 
 from intervalgames import covers, engine, two_strategies
 from intervalgames.cantor import CantorSpec
-from intervalgames.covers import Cover, ball_cover, window_supremum
+from intervalgames.covers import Cover, CoverError, ball_cover, window_supremum
 from intervalgames.engine import GameConfig, TargetSpec, play, referee_step
 from intervalgames.one_strategies import avoid_cover
 from intervalgames.ordinals import InningSchedule, parse_ordinal
@@ -22,6 +22,7 @@ from intervalgames.sets import (
     is_disjoint,
     normalize,
     parse_rset,
+    point,
     refines,
     union_all,
 )
@@ -166,10 +167,49 @@ def test_halving_step_matches_the_per_piece_composition():
             assert state.inning == step + 1
 
 
+def test_halving_refuses_a_piece_outside_the_cover():
+    """Seeded residuals of closed pieces and points on [0,1] against
+    covers of 1-4 open intervals with gaps: `halving_step` raises
+    `CoverError` exactly when a non-point piece is not inside the
+    cover's union, naming the first such piece and its uncovered part."""
+    rng = random.Random(2020)
+    outcomes = {"refused": 0, "halved": 0}
+    for _ in range(300):
+        ends = sorted(rng.sample(range(17), 2 * rng.randint(1, 3)))
+        residual = [
+            point(F(lo, 16)) if rng.random() < 0.2 else closed(F(lo, 16), F(hi, 16))
+            for lo, hi in zip(ends[::2], ends[1::2])
+        ]
+        members = []
+        for _ in range(rng.randint(1, 4)):
+            lo, hi = sorted(rng.sample(range(-4, 37), 2))
+            members.append(RSet.interval(F(lo, 32), F(hi, 32)))
+        cover = Cover(tuple(members))
+        missed = [
+            p for p in residual
+            if not p.is_point and not RSet((p,)).is_subset(cover.union)
+        ]
+        state = HalvingState(tuple(residual), 0)
+        if not missed:
+            outcomes["halved"] += 1
+            halving_step(state, cover, UNIT)
+            continue
+        outcomes["refused"] += 1
+        with pytest.raises(CoverError) as err:
+            halving_step(state, cover, UNIT)
+        first = missed[0]
+        assert str(err.value) == (
+            f"members do not cover the queried window {first}; "
+            f"uncovered part: {RSet((first,)).subtract(cover.union)}"
+        )
+    assert min(outcomes.values()) > 30, outcomes
+
+
 def test_halving_match_checks_each_piece_once(monkeypatch):
     """A machine-independent cost gate on the seed-1 benchmark match
-    `main-compact` vs `halving` (ambient [1/5,2], budget 25): one union
-    check per refined piece and one discreteness certificate per step."""
+    `main-compact` vs `halving` (ambient [1/5,2], budget 25): a union
+    check only for a refined piece no member holds whole, and one
+    discreteness certificate per step."""
     counts = {
         "union checks": 0, "certificates": 0, "pieces": 0, "steps": 0, "holding": 0
     }
@@ -186,9 +226,9 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
         counts["steps"] += 1
         return halving_step(state, cover, ambient)
 
-    checked = counting("union checks", covers._target_interval)
-    monkeypatch.setattr(covers, "_target_interval", checked)
-    monkeypatch.setattr(two_strategies, "_target_interval", checked)
+    checked = counting("union checks", covers.checked_window)
+    monkeypatch.setattr(covers, "checked_window", checked)
+    monkeypatch.setattr(two_strategies, "checked_window", checked)
     monkeypatch.setattr(
         two_strategies, "is_discrete", counting("certificates", two_strategies.is_discrete)
     )
@@ -202,10 +242,12 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
     )
     assert t.verdict.outcome == "one-wins-certified"
     # one whole-window `holding` per piece; the 1,752 pieces one member
-    # holds whole (M = 2) skip the per-cell fit check (5,627 calls before)
+    # holds whole (M = 2) skip the per-cell fit check and the union check,
+    # and each of the other 25 gets one `window_supremum`: one union check
+    # and one more whole-window `holding`
     assert counts == {
-        "union checks": 1777, "certificates": 25, "pieces": 1777, "steps": 25,
-        "holding": 2123,
+        "union checks": 25, "certificates": 25, "pieces": 1777, "steps": 25,
+        "holding": 2148,
     }
 
 
