@@ -56,7 +56,7 @@ class Cover:
 
     def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
         """Indices of members whose closure meets [lo, hi], in index order."""
-        q, los, his, max_hi, owner = self._index
+        q, los, his, max_hi, owner, _ = self._index
         # with ends l*q and r*q as integers, a component's closure [l, r]
         # meets [lo, hi] iff l*q <= floor(hi*q) and r*q >= ceil(lo*q)
         top = hi.numerator * q // hi.denominator
@@ -75,13 +75,38 @@ class Cover:
 
     def holding(self, lo: Fraction, hi: Fraction) -> Optional[Interval]:
         """The component holding the closed interval [lo, hi] in the
-        lowest-indexed member that holds it, or None if no member does.
-        An interval holds [lo, hi] exactly when it holds both ends."""
-        for i in self.members_touching(lo, hi):
-            for c in self.member(i).components:
-                if c.contains(lo) and c.contains(hi):
-                    return c
-        return None
+        lowest-indexed member that holds it, or None if no member does."""
+        return self._holder(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+    def holds(self, lo: int, hi: int, den: int) -> bool:
+        """Whether one member holds the closed interval [lo/den, hi/den];
+        `holding` on scaled ends, where den need not be lowest."""
+        return self._holder(lo, den, hi, den) is not None
+
+    def _holder(self, ln: int, ld: int, hn: int, hd: int) -> Optional[Interval]:
+        """`holding` of [x, y] = [ln/ld, hn/hd]: the body `holds` shares.
+
+        An interval holds [x, y] exactly when it holds both ends.  A
+        component that does starts at or before x, so the index is read
+        leftwards from the last such component, until no component left
+        of it reaches y; of those that hold [x, y], the one of the
+        lowest-indexed member wins.
+        """
+        q, los, his, max_hi, owner, comps = self._index
+        xq, yq = ln * q, hn * q  # x and y times q, times ld and hd
+        best = None
+        for k in range(bisect_right(los, xq // ld) - 1, -1, -1):
+            if max_hi[k] * hd < yq:
+                break
+            if best is not None and owner[k] > owner[best]:
+                continue
+            c = comps[k]
+            if c.lo_open and los[k] * ld == xq:  # c starts at x, without it
+                continue
+            reach = his[k] * hd - yq  # the sign of c.hi - y
+            if reach > 0 or (reach == 0 and not c.hi_open):
+                best = k
+        return None if best is None else comps[best]
 
     def first_holder(self, m: RSet) -> Optional[int]:
         """The lowest index of a member holding the nonempty set m, or
@@ -116,25 +141,32 @@ class Cover:
 
 
 def _point_index(members: Sequence[RSet]) -> tuple:
-    """What `members_touching` searches: the common denominator q of the
-    members' endpoints and, over the member components sorted by left
-    end, their left ends and right ends as integers over q, the running
-    maximum of those right ends, and the index of each one's member."""
+    """What `members_touching` and `holding` search: the common
+    denominator q of the members' endpoints and, over the member
+    components sorted by left end, their left ends and right ends as
+    integers over q, the running maximum of those right ends, the index
+    of each one's member, and the components themselves."""
     q, comps = scaled_components(members)
     comps.sort(key=itemgetter(0, 1))
-    los, his, _, owner = zip(*comps) if comps else ((), (), (), ())
-    return q, los, his, tuple(accumulate(his, max)), owner
+    los, his, found, owner = zip(*comps) if comps else ((), (), (), ())
+    return q, los, his, tuple(accumulate(his, max)), owner, found
 
 
-def checked_window(cover: Cover, part: Interval) -> Interval:
-    """The closed interval [a, b] a query asks about: `part`, or a
-    `CoverError` naming it.  It must have positive length and lie inside
-    the cover's union, so the members touching it cover it."""
+def closed_window(part: Interval) -> Interval:
+    """`part` when it has the shape of a window, a closed interval of
+    positive length; else a `CoverError` naming it."""
     if part.lo_open or part.hi_open:
         raise CoverError(f"the queried window {part} must be a single closed interval")
     if part.is_point:
         raise CoverError(f"the queried window {part} must have positive length")
-    window = RSet((part,))
+    return part
+
+
+def checked_window(cover: Cover, part: Interval) -> Interval:
+    """The closed interval [a, b] a query asks about: `part`, or a
+    `CoverError` naming it.  It must be a `closed_window` and lie inside
+    the cover's union, so the members touching it cover it."""
+    window = RSet((closed_window(part),))
     if not window.is_subset(cover.union):
         missing = window.subtract(cover.union)
         raise CoverError(
@@ -150,27 +182,19 @@ def window_supremum(cover: Cover, part: Interval) -> Fraction:
     [a, b] is `part`; it must lie inside the cover's union, and only the
     members touching it are read.
     Lengths strictly below d* are always admissible; d* itself may or
-    may not be.  When one member holds all of [a, b], every window
-    inside [a, b] lies in it, so d* = b - a and no sweep is made.
-    Otherwise d* is the least gap between a window start and the
+    may not be.  d* is the least gap between a window start and the
     furthest reach of the components serving it, capped by b - a and
     by the components that hold windows ending at b.  The gap
     only shrinks between consecutive first starts of components, so one
     sweep checks the start a and the left limit of each later first
-    start, and stops once a component reaching through b serves.
+    start, and stops once a component reaching through b serves.  When
+    one member holds all of [a, b], its component serves a and reaches
+    through b, so the sweep stops at a with d* = b - a.
     On its ambient a grid cover has supremum its step h: a window
     starting at a grid point jh fits only in member j, which ends at
     (j+1)h, and every window shorter than h fits in member j or j+1.
     """
     t = checked_window(cover, part)
-    if cover.holding(t.lo, t.hi) is not None:
-        return t.length
-    return _supremum_on(cover, t)
-
-
-def _supremum_on(cover: Cover, t: Interval) -> Fraction:
-    """`window_supremum` on a [a, b] that `checked_window` has passed
-    and that no single member holds."""
     if isinstance(cover, GridCover) and t == cover.ambient:
         return cover.step
     a, b = t.lo, t.hi
@@ -264,7 +288,7 @@ class GridCover(Cover):
     (`_units`), so a point's grid unit floor((x - a)/h) and whether x is
     a grid point come from one `divmod` of integers.  On them are
     answered in closed form, building no member: `members_touching`,
-    `holding`, `first_holder` (and so the refinement rule, `Cover`'s
+    `holding`, `holds`, `first_holder` (and so the refinement rule, `Cover`'s
     `refinement_witnesses` over it) and the transcript's `member_texts`;
     also `member(k)`, `window_supremum` on the ambient, and equality.
     The member tuple is built on first use of `members`, once per
@@ -332,27 +356,28 @@ class GridCover(Cover):
             raise IndexError(f"grid member {k} out of range")
         return RSet((self._component(k),))
 
-    def _unit(self, x: Fraction) -> tuple[int, int]:
-        """floor(t) and r for t = (x - a)/h, which for x = p/d is
-        (pQ - Ad)/(Bd): one `divmod`.  r is 0 exactly when x is a grid
-        point, and then x is grid point t."""
+    def _unit(self, p: int, d: int) -> tuple[int, int]:
+        """floor(t) and r for t = (x - a)/h, which for x = p/d (d > 0,
+        not necessarily lowest) is (pQ - Ad)/(Bd): one `divmod`.  r is 0
+        exactly when x is a grid point, and then x is grid point t."""
         q, a, b = self._units
-        return divmod(x.numerator * q - a * x.denominator, b * x.denominator)
+        return divmod(p * q - a * d, b * d)
 
     def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
         # member k's closure spans grid units [max(k-1, 0), min(k+1, last)]
-        j, r = self._unit(lo)
+        j, r = self._unit(lo.numerator, lo.denominator)
         first = j + (r > 0)  # ceil((lo - a)/h)
-        top, _ = self._unit(hi)
+        top, _ = self._unit(hi.numerator, hi.denominator)
         if top < 0 or first > self.last:
             return []
         return list(range(max(first - 1, 0), min(top + 1, self.last) + 1))
 
     def _lowest_holding(
-        self, lo: Fraction, lo_open: bool, hi: Fraction, hi_open: bool
+        self, ln: int, ld: int, lo_open: bool, hn: int, hd: int, hi_open: bool
     ) -> Optional[int]:
-        """The lowest member holding an interval with ends lo and hi,
-        open as flagged, or None when no member does.
+        """The lowest member holding an interval with ends lo = ln/ld and
+        hi = hn/hd, open as flagged, or None when no member does: the
+        body of `holding`, `holds` and `first_holder`.
 
         Right ends grow with k: with v = (hi - a)/h, the members whose
         right end lets hi through are those from k = floor(v) on, or
@@ -362,22 +387,30 @@ class GridCover(Cover):
         end (k-1)h, closed at a for k = 0, lets lo through; if it does
         not, no member does.
         """
-        top, r = self._unit(hi)
+        top, r = self._unit(hn, hd)
         if top > self.last or (top == self.last and r):
             return None
         k = max(top - 1 if hi_open and not r else top, 0)
         q, a, b = self._units
-        start = lo.numerator * q - lo.denominator * (a + max(k - 1, 0) * b)
+        start = ln * q - ld * (a + max(k - 1, 0) * b)
         return k if start > 0 or (start == 0 and (lo_open or k == 0)) else None
 
     def holding(self, lo: Fraction, hi: Fraction) -> Optional[Interval]:
-        k = self._lowest_holding(lo, False, hi, False)
+        k = self._lowest_holding(
+            lo.numerator, lo.denominator, False, hi.numerator, hi.denominator, False
+        )
         return None if k is None else self._component(k)
+
+    def holds(self, lo: int, hi: int, den: int) -> bool:
+        return self._lowest_holding(lo, den, False, hi, den, False) is not None
 
     def first_holder(self, m: RSet) -> Optional[int]:
         # a member is one interval, so it holds m exactly when it holds m's hull
         first, last = m.components[0], m.components[-1]
-        return self._lowest_holding(first.lo, first.lo_open, last.hi, last.hi_open)
+        return self._lowest_holding(
+            first.lo.numerator, first.lo.denominator, first.lo_open,
+            last.hi.numerator, last.hi.denominator, last.hi_open,
+        )
 
     def member_texts(self) -> list[str]:
         # grid point j is (a + j*b)/q; each point is written once and

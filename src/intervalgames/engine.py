@@ -42,6 +42,7 @@ from .sets import (
     FamilyNotDisjoint,
     Interval,
     RSet,
+    gaps,
     is_discrete,
     is_disjoint,
     subtract_closure,
@@ -136,9 +137,10 @@ class TargetSpec:
         enumerated points, and a G-delta target is the ambient minus
         only its first n enumerated (deleted) points.
         """
-        box = RSet((ambient.closure(),))
+        window = ambient.closure()
+        box = RSet((window,))
         if self.kind == "cantor":
-            pt = CantorSpec(ambient.closure()).uncovered_point(union, box)
+            pt = CantorSpec(window).uncovered_point(union, box)
             return None if pt is None else lambda: {"uncovered_point": str(pt)}
         if self.kind in ("full", "closed"):
             target = self.measured_set(ambient)
@@ -150,10 +152,15 @@ class TargetSpec:
             if self.kind == "countable":
                 q = next((q for q in points if not union.contains(q)), None)
                 return None if q is None else lambda: {"uncovered_point": str(q)}
-            missing = box.subtract(union).subtract(RSet.points(points))
-            return None if missing.is_empty else lambda: {"uncovered": str(missing)}
+            # covered exactly when every gap of the union is a deleted point
+            deleted = set(points)
+            if all(gap.is_point and gap.lo in deleted for gap in gaps(union, window)):
+                return None
+            return lambda: {
+                "uncovered": str(box.subtract(union).subtract(RSet.points(points)))
+            }
         points = EnumeratedPoints.named(self.param, ambient)
-        for comp in box.subtract(union).components:
+        for comp in gaps(union, window):
             if self.kind == "countable":
                 q = points.point_within(comp)
                 if q is not None:

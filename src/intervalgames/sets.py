@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -331,6 +331,36 @@ def subtract_closure(x: RSet, family: Iterable[RSet]) -> RSet:
         if c._ends[0] * bd <= bn * c._ends[1] and c._ends[2] * ad >= an * c._ends[3]
     ]
     return x.subtract(normalize(near))
+
+
+def gaps(rset: RSet, window: Interval) -> Iterator[Interval]:
+    """The components of the closed interval `window` minus `rset`, in
+    order: those of `RSet((window,)).subtract(rset)`, built one at a
+    time, so a caller that stops at a gap has read only the components
+    of `rset` up to it.
+
+    The walk keeps x, where the uncovered part resumes (x itself is
+    uncovered when `x_in`); ends are compared as integers.
+    """
+    xn, xd, bn, bd = window._ends
+    x, x_in = window.lo, True
+    for c in rset.components:
+        ln, ld, hn, hd = c._ends
+        ahead = hn * xd - xn * hd  # the sign of c.hi - x
+        if ahead < 0 or (ahead == 0 and c.hi_open):
+            continue  # c ends before x
+        past = ln * bd - bn * ld  # the sign of c.lo - b
+        if past > 0 or (past == 0 and c.lo_open):
+            break
+        start = ln * xd - xn * ld  # the sign of c.lo - x
+        if start > 0 or (start == 0 and x_in and c.lo_open):
+            yield Interval(x, c.lo, not x_in, not c.lo_open)
+        reach = hn * bd - bn * hd  # the sign of c.hi - b
+        if reach > 0 or (reach == 0 and not c.hi_open):
+            return
+        x, x_in, xn, xd = c.hi, c.hi_open, hn, hd
+    if x_in or xn * bd < bn * xd:
+        yield Interval(x, window.hi, not x_in, False)
 
 
 def _events(rset: RSet, q: int) -> list[tuple[int, Fraction, bool, bool]]:

@@ -13,9 +13,10 @@ of nowhere-dense sets.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from .cantor import CantorSpec
@@ -23,7 +24,7 @@ from .covers import (
     Cover,
     CoverError,
     chain_subcover,
-    checked_window,
+    closed_window,
     lebesgue_number,
     window_supremum,
 )
@@ -61,7 +62,9 @@ def halving_refinement(
     window supremum, so each closed cell fits inside a single cover
     member.  When one member holds all of [a, b], M = 2 and that member
     holds both cells; otherwise the fit is asserted per cell.  [a, b]
-    must lie in the cover's union (`CoverError` if not).
+    must be a closed interval of positive length (`CoverError` if not)
+    and lie in the cover's union (`CoverError` from `window_supremum`
+    if no member holds it and it does not).
 
     The right endpoint b belongs to the last (odd) cell.  When b is the
     right end of the `ambient` interval that cell is taken relatively
@@ -69,55 +72,95 @@ def halving_refinement(
     the cell stays (g, b) and the point b joins the residual as a
     degenerate closed piece, to be absorbed by a later fattening move.
     """
-    members, residual = _halve(cover, checked_window(cover, piece), ambient)
-    return is_discrete(members), residual
+    family, state = halving_step(HalvingState((closed_window(piece),), 0), cover, ambient)
+    return family, list(state.residual)
 
 
 def _halve(
-    cover: Cover, t: Interval, ambient: Interval
-) -> tuple[list[RSet], list[Interval]]:
-    """`halving_refinement`'s cells on a closed [a, b] of positive length,
-    uncertified.  A held [a, b] lies in the cover's union; `window_supremum`
-    refuses any other one outside it."""
-    lo, hi = t.lo, t.hi
-    at_boundary = hi == ambient.hi
-    # a member holding all of [a, b] gives supremum b - a, so M = 2, and
-    # it holds both cells; otherwise each cell's fit is checked
-    held = cover.holding(lo, hi) is not None
-    m = 2 if held else smallest_even_grid(t.length, window_supremum(cover, t))
-    # over den = lcm(ld, hd) * M the ends are integers and so is the step
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    den = lcm(ld, hd) * m
-    lo_n = ln * (den // ld)
-    step = (hn * (den // hd) - lo_n) // m
-    grid = [lo, *(Fraction(lo_n + i * step, den) for i in range(1, m)), hi]
+    cover: Cover, lo: int, hi: int, den: int, at_boundary: bool
+) -> tuple[list[RSet], list[tuple[int, int, int]]]:
+    """`halving_refinement`'s cut of the closed span [lo/den, hi/den],
+    lo < hi, uncertified: the open cells as family members and the
+    closed cells as spans, each in order.
+
+    Over den*M grid point i is lo*M + i*(hi - lo), so the cut is integer
+    arithmetic, and the cover is asked about the span once.  Only the
+    members are built as Fractions and `Interval`s, and the span itself
+    when no member holds it, for `window_supremum`, which refuses it
+    when it is outside the cover's union.
+    """
+    held = cover.holds(lo, hi, den)
+    if held:  # the supremum is hi - lo, so M = 2
+        m = 2
+    else:
+        piece = Interval(Fraction(lo, den), Fraction(hi, den), False, False)
+        m = smallest_even_grid(piece.length, window_supremum(cover, piece))
+    d, grid = den * m, range(lo * m, hi * m + 1, hi - lo)
     if not held:
         for i in range(m):
-            if cover.holding(grid[i], grid[i + 1]) is None:
+            if not cover.holds(grid[i], grid[i + 1], d):
                 raise InvariantViolation(
-                    f"grid cell [{grid[i]},{grid[i + 1]}] fits no cover member"
+                    f"grid cell [{Fraction(grid[i], d)},{Fraction(grid[i + 1], d)}] "
+                    "fits no cover member"
                 )
     members = [
-        RSet((Interval(grid[i], grid[i + 1], True, not (i == m - 1 and at_boundary)),))
+        RSet((
+            Interval(
+                Fraction(grid[i], d), Fraction(grid[i + 1], d),
+                True, not (at_boundary and i == m - 1),
+            ),
+        ))
         for i in range(1, m, 2)
     ]
-    residual = [
-        Interval(grid[i], grid[i + 1], False, False) for i in range(0, m, 2)
-    ]
-    if not at_boundary:
-        residual.append(Interval(hi, hi, False, False))
-    return members, residual
+    return members, [(grid[i], grid[i + 1], d) for i in range(0, m, 2)]
 
 
-@dataclass(frozen=True)
 class HalvingState:
-    """Residual closed cells still to be covered, and the inning count."""
+    """Residual closed cells still to be covered, and the inning count.
 
-    residual: tuple[Interval, ...]
-    inning: int
+    The cells are kept in two parts.  `spans` holds the cells of positive
+    length, the only ones halving cuts, as integer ends over their own
+    denominator: (lo, hi, den) with lo < hi and den > 0, not necessarily
+    lowest, sorted by left end.  `points` holds the degenerate point
+    cells as (numerator, denominator) pairs, in the order they were cut
+    off; only the limit move reads them.  `residual` is every cell as a
+    closed `Interval`, sorted by left end, built on first use.
+    """
+
+    def __init__(self, residual: Sequence[Interval], inning: int):
+        spans, points = [], []
+        for piece in residual:
+            lo, hi = piece.lo, piece.hi
+            if piece.is_point:
+                points.append((lo.numerator, lo.denominator))
+            else:
+                den = lcm(lo.denominator, hi.denominator)
+                spans.append((
+                    lo.numerator * (den // lo.denominator),
+                    hi.numerator * (den // hi.denominator),
+                    den,
+                ))
+        self.spans, self.points, self.inning = tuple(spans), tuple(points), inning
+
+    @classmethod
+    def _of_parts(cls, spans: tuple, points: tuple, inning: int) -> "HalvingState":
+        state = cls.__new__(cls)
+        state.spans, state.points, state.inning = spans, points, inning
+        return state
+
+    @cached_property
+    def residual(self) -> tuple[Interval, ...]:
+        cells = [
+            Interval(Fraction(lo, den), Fraction(hi, den), False, False)
+            for lo, hi, den in self.spans
+        ]
+        for n, d in self.points:
+            x = Fraction(n, d)
+            cells.append(Interval(x, x, False, False))
+        return tuple(sorted(cells, key=attrgetter("lo")))
 
     def measure(self) -> Fraction:
-        return sum((c.length for c in self.residual), Fraction(0))
+        return sum((Fraction(hi - lo, den) for lo, hi, den in self.spans), Fraction(0))
 
     def min_gap(self) -> Optional[Fraction]:
         gaps = [
@@ -134,23 +177,28 @@ def halving_step(
     The union of the per-cell families is discrete (cells of one
     residual interval have grid gaps, distinct residual intervals have
     positive gaps) and is certified once; the total residual measure
-    halves exactly.  Degenerate point pieces pass through untouched;
-    only a fattening move can absorb them.  The residual is sorted by
-    left end with pairwise disjoint pieces, and each piece's own
-    residual lies inside it in order, so the new residual is sorted too.
+    halves exactly.  Only the spans are walked: degenerate point pieces
+    stay in their own part, untouched, and only a fattening move can
+    absorb them.  The spans are sorted by left end and pairwise
+    disjoint, and each span's own cells lie inside it in order, so the
+    new spans are sorted too.
     """
-    if not state.residual:
+    if not (state.spans or state.points):
         raise ValueError("nothing left to refine")
+    bn, bd = ambient.hi.numerator, ambient.hi.denominator
     members: list[RSet] = []
-    new_residual: list[Interval] = []
-    for piece in state.residual:
-        if piece.is_point:
-            new_residual.append(piece)
-            continue
-        cells, res = _halve(cover, piece, ambient)
-        members.extend(cells)
-        new_residual.extend(res)
-    return is_discrete(members), HalvingState(tuple(new_residual), state.inning + 1)
+    spans: list[tuple[int, int, int]] = []
+    points: list[tuple[int, int]] = []
+    for lo, hi, den in state.spans:
+        at_boundary = hi * bd == bn * den
+        cells, cut = _halve(cover, lo, hi, den, at_boundary)
+        members += cells
+        spans += cut
+        if not at_boundary:
+            points.append((hi, den))
+    return is_discrete(members), HalvingState._of_parts(
+        tuple(spans), state.points + tuple(points), state.inning + 1
+    )
 
 
 def _fattening_radius(
@@ -470,7 +518,10 @@ class HalvingOmegaPlusOneTwo(HalvingTwo):
 
     def at_limit(self, cover: Cover):
         delta = lebesgue_number(cover, self.ambient)
-        if any(p.length >= delta for p in self.state.residual):
+        # a span's length (hi - lo)/den against delta = n/d, on integers;
+        # a point is shorter than any delta
+        n, d = delta.numerator, delta.denominator
+        if any((hi - lo) * d >= n * den for lo, hi, den in self.state.spans):
             return "extend"
         return list(limit_fattening(self.state, cover, self.ambient).members)
 

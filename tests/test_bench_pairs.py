@@ -82,6 +82,33 @@ def test_an_odd_seed_count_is_refused_before_anything_runs(tmp_path, seeds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, refusal",
+    [
+        (["--seeds", "1010-1001"], "gives no seeds"),
+        (["--seeds", "7-x"], "is not 1001-1010 or 7,9,11"),
+        (["--seeds", "1001-1002", "--workloads", "grid-limit,nope"], "names nope"),
+        (["--seeds", "1001-1002", "--parent", "no-such-ref"], "no-such-ref names no commit"),
+    ],
+)
+def test_bad_seeds_workloads_or_parent_are_refused_before_anything_runs(
+    tmp_path, args, refusal
+):
+    """An empty seed list would leave nothing to summarize, seeds that are
+    not numbers and a parent that names no commit would end in a
+    traceback, and an unknown workload would fail only after the known
+    ones had run every pair."""
+    out = tmp_path / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", "HEAD", *args, "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and refusal in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
 def test_summary_lines_read_medians_change_wins_and_bound():
     parent = [(4.0, 0.10), (5.0, 0.10), (6.0, 0.10)]
     change = [(6.0, 0.12), (5.0, 0.09), (7.5, 0.12)]

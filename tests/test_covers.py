@@ -544,6 +544,41 @@ def test_proven_sub_covers_answer_like_generic_ones():
             assert [idxs[i] for i in chain_subcover(ref, piece)] == chain_subcover(cover, piece)
 
 
+def test_holds_on_scaled_ends_answers_like_holding():
+    """`Cover.holds(lo, hi, den)` is `holding(lo/den, hi/den) is not
+    None` on seeded chain covers, avoidance covers (two-component
+    members, points left out), covers with point members, and grids, for
+    ends over lowest and over non-lowest denominators; a generic cover's
+    `holding` is also the definition-level scan's."""
+    rng = random.Random(2121)
+    answers = {True: 0, False: 0}
+    for case in range(48):
+        t = random_target(rng)
+        kind = case % 4
+        if kind == 0:
+            cover = random_cover(rng, t)
+        elif kind == 1:
+            lo = t.lo + t.length * F(rng.randint(0, 8), 16)
+            cover = avoid_cover(Interval(lo, lo + t.length * F(rng.randint(2, 8), 16)), t)
+        elif kind == 2:
+            cover = Cover(random_cover(rng, t).members + (RSet.points([t.lo, t.hi]),))
+        else:
+            cover = ball_cover(rng.randint(1, 4), t)
+        ends = [rnd_fraction(rng, t.lo - t.length / 4, t.hi + t.length / 4) for _ in range(6)]
+        ends += [c.lo for i in range(min(len(cover.members), 6))
+                 for c in cover.member(i).components]
+        for _ in range(40):
+            x, y = sorted(rng.sample(ends, 2))
+            expected = cover.holding(x, y)
+            if kind != 3:
+                assert expected == holding_by_scan(cover, x, y), (cover, x, y)
+            den = (x.denominator * y.denominator) * rng.choice((1, 2, 3, 12))
+            lo, hi = x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
+            assert cover.holds(lo, hi, den) == (expected is not None), (cover, x, y)
+            answers[expected is not None] += 1
+    assert min(answers.values()) > 200, answers
+
+
 # --- chain subcover ----------------------------------------------------------
 
 

@@ -325,6 +325,16 @@ def test_combine_matches_the_pointwise_definition(a, b, op):
         assert out.contains(x) == COMBINE[op](a.contains(x), b.contains(x)), x
 
 
+@settings(max_examples=400, derandomize=True)
+@given(crowded_rsets(), shared_ends, shared_ends)
+def test_gaps_are_the_components_of_the_window_minus_the_set(a, x, y):
+    """`gaps` walks the components of a closed window minus a set, ends
+    and flags as the subtraction gives them, including windows that a
+    component ends or starts on and windows that are one point."""
+    window = closed(*sorted((x, y)))
+    assert tuple(sets.gaps(a, window)) == RSet((window,)).subtract(a).components
+
+
 def interleaved(n: int) -> tuple[RSet, RSet]:
     """Two sets of n components each, alternating along the line and
     overlapping their neighbours: (4k/3, (4k+2)/3) and [(4k+1)/3, (4k+3)/3]."""

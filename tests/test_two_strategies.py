@@ -8,7 +8,13 @@ import pytest
 
 from intervalgames import covers, engine, two_strategies
 from intervalgames.cantor import CantorSpec
-from intervalgames.covers import Cover, CoverError, ball_cover, window_supremum
+from intervalgames.covers import (
+    Cover,
+    CoverError,
+    ball_cover,
+    lebesgue_number,
+    window_supremum,
+)
 from intervalgames.engine import GameConfig, TargetSpec, play, referee_step
 from intervalgames.one_strategies import avoid_cover
 from intervalgames.ordinals import InningSchedule, parse_ordinal
@@ -29,6 +35,7 @@ from intervalgames.sets import (
 from intervalgames.two_strategies import (
     FirstCategoryAvoider,
     GreedyTwo,
+    HalvingOmegaPlusOneTwo,
     HalvingState,
     chain_puncture_refinement,
     cantor_fattening_level,
@@ -167,6 +174,141 @@ def test_halving_step_matches_the_per_piece_composition():
             assert state.inning == step + 1
 
 
+def test_halving_state_round_trips_mixed_residuals():
+    """Seeded residuals of closed cells and points on random ambients,
+    points interleaved with cells and pieces on the ambient's ends: the
+    state keeps cells as spans and points apart, and gives back the same
+    ordered `residual`, its Fraction measure and its least gap."""
+    rng = random.Random(2123)
+    seen = {"interleaved": 0, "at the left end": 0, "at the right end": 0}
+    for _ in range(200):
+        ambient = random_target(rng)
+        a, length = ambient.lo, ambient.length
+        ends = sorted(rng.sample(range(1, 32), 2 * rng.randint(1, 5)))
+        ends = [0] * (rng.random() < 0.3) + ends + [32] * (rng.random() < 0.3)
+        residual = []
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            x, y = a + length * F(lo, 32), a + length * F(hi, 32)
+            residual.append(point(x) if rng.random() < 0.4 else closed(x, y))
+        if len(ends) % 2:
+            residual.append(point(a + length * F(ends[-1], 32)))
+        state = HalvingState(tuple(residual), 3)
+        assert state.residual == tuple(residual)
+        assert len(state.points) == sum(p.is_point for p in residual)
+        assert len(state.spans) == len(residual) - len(state.points)
+        assert state.measure() == sum((p.length for p in residual), F(0))
+        gaps = [q.lo - p.hi for p, q in zip(residual, residual[1:])]
+        assert state.min_gap() == (min(gaps) if gaps else None)
+        assert state.inning == 3
+        kinds = [p.is_point for p in residual]
+        seen["interleaved"] += any(
+            kinds[i] and not kinds[i - 1] and not kinds[i + 1] for i in range(1, len(kinds) - 1)
+        )
+        seen["at the left end"] += residual[0].lo == ambient.lo
+        seen["at the right end"] += residual[-1].hi == ambient.hi
+    assert min(seen.values()) > 20, seen
+
+
+def test_halving_steps_match_the_oracle_over_many_innings():
+    """Seeded runs of 8 innings against random chain covers, grids and
+    avoidance covers: at every step the family, its min_gap, the
+    residual, its measure and its least gap are those of the per-piece
+    oracle run on its own residual.  Then at the limit `at_limit` and
+    `limit_fattening` answer as they do on a state built from the
+    oracle's residual."""
+    rng = random.Random(2124)
+    outcomes = {"extend": 0, "fattened": 0}
+
+    def outcome(fn):
+        try:
+            return fn()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    for case in range(6):
+        ambient = random_target(rng)
+        state = HalvingState((ambient,), 0)
+        residual = [ambient]
+        for step in range(8):
+            kind = (case + step) % 3
+            if kind == 0:
+                cover = random_cover(rng, ambient)
+            elif kind == 1:
+                cover = ball_cover(rng.randint(1, 4), ambient)
+            else:
+                lo = ambient.lo + ambient.length * F(rng.randint(0, 8), 16)
+                hi = lo + ambient.length * F(rng.randint(2, 8), 16)
+                cover = avoid_cover(Interval(lo, hi, True, True), ambient)
+            family, residual = oracle_halving_step(
+                HalvingState(tuple(residual), step), cover, ambient
+            )
+            fam, state = halving_step(state, cover, ambient)
+            assert fam.members == family.members
+            assert fam.min_gap == family.min_gap
+            assert list(state.residual) == residual
+            assert state.measure() == sum((p.length for p in residual), F(0))
+            assert state.measure() == ambient.length / 2 ** (step + 1)
+            gaps = [q.lo - p.hi for p, q in zip(residual, residual[1:])]
+            assert state.min_gap() == (min(gaps) if gaps else None)
+        oracle_state = HalvingState(tuple(residual), 8)
+        wide = Cover((RSet.interval(ambient.lo - 1, ambient.hi + 1),))
+        for limit in (wide, ball_cover(6, ambient), ball_cover(10, ambient)):
+            bot = HalvingOmegaPlusOneTwo(ambient)
+            bot.state = state
+            delta = lebesgue_number(limit, ambient)
+            if any(p.length >= delta for p in residual):
+                expected = "extend"
+            else:
+                expected = list(limit_fattening(oracle_state, limit, ambient).members)
+            assert bot.at_limit(limit) == expected
+            outcomes["extend" if expected == "extend" else "fattened"] += 1
+            assert outcome(lambda: limit_fattening(state, limit, ambient)) == outcome(
+                lambda: limit_fattening(oracle_state, limit, ambient)
+            )
+    assert min(outcomes.values()) > 2, outcomes
+    # a cell exactly as long as the Lebesgue number still asks for one more inning
+    bot = HalvingOmegaPlusOneTwo(UNIT)
+    bot.state = HalvingState((closed(0, "1/2"), point("3/4")), 1)
+    assert lebesgue_number(TRIVIAL, UNIT) == F(1, 2)
+    assert bot.at_limit(TRIVIAL) == "extend"
+
+
+def test_halving_refinement_checks_its_window_once(monkeypatch):
+    """On the worked cover, which no member holds whole, the public
+    one-piece entry makes one window check, the one `window_supremum`
+    makes, and asks the cover about the piece once and about each of its
+    6 cells once.  A bad piece is refused in the window check's order:
+    its shape first, then the union."""
+    counts = {"window checks": 0, "holds": 0, "holding": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    checked = counting("window checks", covers.checked_window)
+    monkeypatch.setattr(covers, "checked_window", checked)
+    monkeypatch.setattr(Cover, "holds", counting("holds", Cover.holds))
+    monkeypatch.setattr(Cover, "holding", counting("holding", Cover.holding))
+    fam, residual = halving_refinement(EXAMPLE, UNIT, UNIT)
+    assert len(fam) == 3 and len(residual) == 3
+    assert counts == {"window checks": 1, "holds": 1 + 6, "holding": 0}
+
+    refusals = [
+        (Interval(F(0), F(1), True, False), "(0,1] must be a single closed interval"),
+        (point(F(1, 2)), "[1/2,1/2] must have positive length"),
+        (Interval(F(1), F(2), True, True), "(1,2) must be a single closed interval"),
+        (closed(1, 2), "[1,2]; uncovered part: [9/8,2]"),
+    ]
+    for piece, text in refusals:
+        with pytest.raises(CoverError) as err:
+            halving_refinement(EXAMPLE, piece, UNIT)
+        prefix = "members do not cover " if "uncovered" in text else ""
+        assert str(err.value) == f"{prefix}the queried window {text}"
+
+
 def test_halving_refuses_a_piece_outside_the_cover():
     """Seeded residuals of closed pieces and points on [0,1] against
     covers of 1-4 open intervals with gaps: `halving_step` raises
@@ -207,12 +349,17 @@ def test_halving_refuses_a_piece_outside_the_cover():
 
 def test_halving_match_checks_each_piece_once(monkeypatch):
     """A machine-independent cost gate on the seed-1 benchmark match
-    `main-compact` vs `halving` (ambient [1/5,2], budget 25): a union
-    check only for a refined piece no member holds whole, and one
-    discreteness certificate per step."""
+    `main-compact` vs `halving` (ambient [1/5,2], budget 25): one cover
+    query per refined piece, a union check only for a piece no member
+    holds whole, one discreteness certificate per step, no point piece
+    walked (the only `is_point` tests are the union checks' own), and
+    `Interval`s built only for the family members and the pieces no
+    member holds."""
     counts = {
-        "union checks": 0, "certificates": 0, "pieces": 0, "steps": 0, "holding": 0
+        "union checks": 0, "certificates": 0, "pieces": 0, "steps": 0,
+        "cover queries": 0, "members": 0, "is_point tests": 0, "intervals built": 0,
     }
+    inside = [0]
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -222,18 +369,35 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
         return wrapped
 
     def step(state, cover, ambient):
-        counts["pieces"] += sum(not p.is_point for p in state.residual)
+        counts["pieces"] += len(state.spans)
         counts["steps"] += 1
-        return halving_step(state, cover, ambient)
+        inside[0] += 1
+        try:
+            family, after = halving_step(state, cover, ambient)
+        finally:
+            inside[0] -= 1
+        counts["members"] += len(family)
+        return family, after
 
-    checked = counting("union checks", covers.checked_window)
-    monkeypatch.setattr(covers, "checked_window", checked)
-    monkeypatch.setattr(two_strategies, "checked_window", checked)
+    is_point, post_init = Interval.is_point, Interval.__post_init__
+
+    def walked(self):
+        counts["is_point tests"] += inside[0] > 0
+        return is_point.fget(self)
+
+    def built(self):
+        counts["intervals built"] += inside[0] > 0
+        post_init(self)
+
+    monkeypatch.setattr(covers, "checked_window", counting("union checks", covers.checked_window))
     monkeypatch.setattr(
         two_strategies, "is_discrete", counting("certificates", two_strategies.is_discrete)
     )
     monkeypatch.setattr(two_strategies, "halving_step", step)
-    monkeypatch.setattr(Cover, "holding", counting("holding", Cover.holding))
+    monkeypatch.setattr(Cover, "holding", counting("cover queries", Cover.holding))
+    monkeypatch.setattr(Cover, "holds", counting("cover queries", Cover.holds))
+    monkeypatch.setattr(Interval, "is_point", property(walked))
+    monkeypatch.setattr(Interval, "__post_init__", built)
     t = play(
         GameConfig(
             "discrete", parse_ordinal("w"), closed("1/5", 2), TargetSpec.full(),
@@ -241,13 +405,14 @@ def test_halving_match_checks_each_piece_once(monkeypatch):
         )
     )
     assert t.verdict.outcome == "one-wins-certified"
-    # one whole-window `holding` per piece; the 1,752 pieces one member
-    # holds whole (M = 2) skip the per-cell fit check and the union check,
-    # and each of the other 25 gets one `window_supremum`: one union check
-    # and one more whole-window `holding`
+    # one whole-piece query per piece; the 1,752 pieces one member holds
+    # whole (M = 2) skip the per-cell fit check and the union check, and
+    # each of the other 25 gets one `window_supremum` (one union check)
+    # and 346 cell-fit queries in all
     assert counts == {
         "union checks": 25, "certificates": 25, "pieces": 1777, "steps": 25,
-        "holding": 2148,
+        "cover queries": 1777 + 346, "members": 1925, "is_point tests": 25,
+        "intervals built": 1925 + 25,
     }
 
 
@@ -281,12 +446,12 @@ def test_halving_cuts_cells_on_integers(monkeypatch):
 
     halve = two_strategies._halve
 
-    def counted_halve(cover, t, ambient):
-        held = cover.holding(t.lo, t.hi) is not None
+    def counted_halve(cover, lo, hi, den, at_boundary):
+        held = cover.holds(lo, hi, den)
         counts["held pieces"] += held
         inside["held piece"] += held
         try:
-            return halve(cover, t, ambient)
+            return halve(cover, lo, hi, den, at_boundary)
         finally:
             inside["held piece"] -= held
 

@@ -11,8 +11,10 @@ every seed the script runs `python3 bench/run.py --workload W --seed S
 --seconds T --trace 0` once on each side, one run at a time, in each
 side's own directory; even pairs run the parent first, odd pairs the
 change.  The seed count must be even, so that each side runs first in
-half the pairs and the run order cannot bias the medians; an odd count
-is refused before anything runs.  The output holds the machine, the
+half the pairs and the run order cannot bias the medians.  A seed list
+that is odd, empty or not numbers, a workload that `BENCHMARK.json` does
+not list, and a `--parent` that names no commit are refused, each with
+one line, before anything runs.  The output holds the machine, the
 Python version, every run's metrics, each side's median and quartiles
 per metric, and how many pairs the change won per metric (better as
 `BENCHMARK.json` defines it, ties counting for neither side).  Per
@@ -50,18 +52,24 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def export(ref: str, into: Path) -> str:
-    """The committed files of `ref` under `into`; returns the full commit id."""
-    sha = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
-        cwd=ROOT, check=True, capture_output=True, text=True,
-    ).stdout.strip()
+def commit_of(ref: str) -> str:
+    """The full commit id that `ref` names; refuses a ref that names none."""
+    proc = subprocess.run(
+        ["git", "rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pairs.py: --parent {ref} names no commit")
+    return proc.stdout.strip()
+
+
+def export(sha: str, into: Path) -> None:
+    """The committed files of commit `sha` under `into`."""
     archive = into / "parent.tar"
     subprocess.run(["git", "archive", "-o", str(archive), sha], cwd=ROOT, check=True)
     with tarfile.open(archive) as tar:
         tar.extractall(into / "tree", filter="data")
     archive.unlink()
-    return sha
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -149,12 +157,26 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--out", required=True, type=Path, help="e.g. BENCH_10.json")
     args = ap.parse_args()
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError:
+        raise SystemExit(f"bench_pairs.py: --seeds {args.seeds} is not 1001-1010 or 7,9,11")
+    if not seeds:
+        raise SystemExit(f"bench_pairs.py: --seeds {args.seeds} gives no seeds")
     if len(seeds) % 2:
         raise SystemExit(
             f"bench_pairs.py: --seeds {args.seeds} gives {len(seeds)} seeds; "
             "give an even count, so each side runs first in half the pairs"
         )
+    workloads = args.workloads.split(",")
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        raise SystemExit(
+            f"bench_pairs.py: --workloads names {', '.join(unknown)}, which "
+            f"BENCHMARK.json does not list; it lists {', '.join(known)}"
+        )
+    parent = commit_of(args.parent)
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     report = {
         "machine": machine(),
@@ -166,9 +188,10 @@ def main() -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        report["parent"] = export(args.parent, Path(tmp))
+        report["parent"] = parent
+        export(parent, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
-        for workload in args.workloads.split(","):
+        for workload in workloads:
             runs = []
             for pair, seed in enumerate(seeds):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
