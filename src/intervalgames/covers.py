@@ -33,6 +33,10 @@ class Cover:
     """A finite family of nonempty sets, with their `union` and a point
     index over their components.
 
+    Each kind of cover answers two questions: which components meet a
+    closed interval (`_meeting`) and which members hold an interval
+    (`_holders`).  Every other query is written once, here, over them.
+
     What the members must cover is the game's target, which the referee
     checks; openness of members is validated against the game's ambient
     interval, also by the referee.
@@ -54,72 +58,87 @@ class Cover:
         """Member i, without building the others of a `GridCover`."""
         return self.members[i]
 
-    def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
-        """Indices of members whose closure meets [lo, hi], in index order."""
-        q, los, his, max_hi, owner, _ = self._index
+    def _meeting(self, lo: Fraction, hi: Fraction) -> list[tuple[int, Interval]]:
+        """(member index, component) for each component whose closure
+        meets [lo, hi]."""
+        q, los, his, max_hi, owner, comps = self._index
         # with ends l*q and r*q as integers, a component's closure [l, r]
         # meets [lo, hi] iff l*q <= floor(hi*q) and r*q >= ceil(lo*q)
         top = hi.numerator * q // hi.denominator
         bottom = -(-lo.numerator * q // lo.denominator)
-        hit = set()
+        met = []
         for k in range(bisect_right(los, top) - 1, -1, -1):
             if max_hi[k] < bottom:
                 break
             if his[k] >= bottom:
-                hit.add(owner[k])
-        return sorted(hit)
+                met.append((owner[k], comps[k]))
+        return met
+
+    def _holders(
+        self, ln: int, ld: int, lo_open: bool, hn: int, hd: int, hi_open: bool
+    ) -> Sequence[int]:
+        """The members holding the interval with ends x = ln/ld and
+        y = hn/hd, open as flagged, in index order.
+
+        An interval holds another exactly when it holds both ends.  A
+        component that does starts at or before x, so the index is read
+        leftwards from the last such component, until no component left
+        of it reaches y.  A member's components are disjoint, so at most
+        one of them holds the interval.
+        """
+        q, los, his, max_hi, owner, comps = self._index
+        xq, yq = ln * q, hn * q  # x and y times q, times ld and hd
+        held = []
+        for k in range(bisect_right(los, xq // ld) - 1, -1, -1):
+            if max_hi[k] * hd < yq:
+                break
+            c = comps[k]
+            if c.lo_open and not lo_open and los[k] * ld == xq:  # c starts at x, without it
+                continue
+            reach = his[k] * hd - yq  # the sign of c.hi - y
+            if reach > 0 or (reach == 0 and (hi_open or not c.hi_open)):
+                held.append(owner[k])
+        held.sort()
+        return held
+
+    def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
+        """Indices of members whose closure meets [lo, hi], in index order."""
+        return sorted({i for i, _ in self._meeting(lo, hi)})
 
     def members_containing_point(self, x: Fraction) -> list[int]:
         """Indices of members containing x, in index order."""
-        return [i for i in self.members_touching(x, x) if self.member(i).contains(x)]
+        n, d = x.numerator, x.denominator
+        return list(self._holders(n, d, False, n, d, False))
 
     def holding(self, lo: Fraction, hi: Fraction) -> Optional[Interval]:
         """The component holding the closed interval [lo, hi] in the
         lowest-indexed member that holds it, or None if no member does."""
-        return self._holder(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        held = self._holders(
+            lo.numerator, lo.denominator, False, hi.numerator, hi.denominator, False
+        )
+        if not held:
+            return None
+        return next(c for c in self.member(held[0]).components if c.contains(lo))
 
     def holds(self, lo: int, hi: int, den: int) -> bool:
         """Whether one member holds the closed interval [lo/den, hi/den];
         `holding` on scaled ends, where den need not be lowest."""
-        return self._holder(lo, den, hi, den) is not None
-
-    def _holder(self, ln: int, ld: int, hn: int, hd: int) -> Optional[Interval]:
-        """`holding` of [x, y] = [ln/ld, hn/hd]: the body `holds` shares.
-
-        An interval holds [x, y] exactly when it holds both ends.  A
-        component that does starts at or before x, so the index is read
-        leftwards from the last such component, until no component left
-        of it reaches y; of those that hold [x, y], the one of the
-        lowest-indexed member wins.
-        """
-        q, los, his, max_hi, owner, comps = self._index
-        xq, yq = ln * q, hn * q  # x and y times q, times ld and hd
-        best = None
-        for k in range(bisect_right(los, xq // ld) - 1, -1, -1):
-            if max_hi[k] * hd < yq:
-                break
-            if best is not None and owner[k] > owner[best]:
-                continue
-            c = comps[k]
-            if c.lo_open and los[k] * ld == xq:  # c starts at x, without it
-                continue
-            reach = his[k] * hd - yq  # the sign of c.hi - y
-            if reach > 0 or (reach == 0 and not c.hi_open):
-                best = k
-        return None if best is None else comps[best]
+        return bool(self._holders(lo, den, False, hi, den, False))
 
     def first_holder(self, m: RSet) -> Optional[int]:
         """The lowest index of a member holding the nonempty set m, or
-        None when none does.
-
-        A member holding m has m's first left end x in its closure, so
-        only the members touching x are tried, in index order.
-        """
-        x = m.components[0].lo
-        return next(
-            (i for i in self.members_touching(x, x) if m.is_subset(self.member(i))),
-            None,
-        )
+        None when none does: the lowest member holding every component
+        of m."""
+        held = None
+        for c in m.components:
+            lo, hi = c.lo, c.hi
+            found = self._holders(
+                lo.numerator, lo.denominator, c.lo_open, hi.numerator, hi.denominator, c.hi_open
+            )
+            held = found if held is None else [i for i in found if i in held]
+            if not held:
+                return None
+        return held[0]
 
     def refinement_witnesses(
         self, family: Sequence[RSet]
@@ -141,7 +160,7 @@ class Cover:
 
 
 def _point_index(members: Sequence[RSet]) -> tuple:
-    """What `members_touching` and `holding` search: the common
+    """What `Cover._meeting` and `Cover._holders` search: the common
     denominator q of the members' endpoints and, over the member
     components sorted by left end, their left ends and right ends as
     integers over q, the running maximum of those right ends, the index
@@ -201,15 +220,14 @@ def window_supremum(cover: Cover, part: Interval) -> Fraction:
     # components of positive length meeting [a, b], each keyed by the
     # first window start it serves; point components serve no window
     reaches, ends = [], []
-    for i in cover.members_touching(a, b):
-        for c in cover.member(i).components:
-            if c.hi < a or c.lo > b or c.hi <= c.lo:
-                continue
-            key = (max(c.lo, a), 1 if c.lo >= a and c.lo_open else 0)
-            if c.hi > b or (c.hi == b and not c.hi_open):
-                ends.append((key, c.lo))  # windows ending at b fit in it
-            else:
-                reaches.append((key, c.hi))
+    for _, c in cover._meeting(a, b):
+        if c.hi <= c.lo:
+            continue
+        key = (max(c.lo, a), 1 if c.lo >= a and c.lo_open else 0)
+        if c.hi > b or (c.hi == b and not c.hi_open):
+            ends.append((key, c.lo))  # windows ending at b fit in it
+        else:
+            reaches.append((key, c.hi))
     if not ends:
         raise CoverError("no member covers windows ending at the right endpoint")
     best = min(b - a, max(b - lo for _, lo in ends))
@@ -260,11 +278,10 @@ def lebesgue_counterexample(cover: Cover, part: Interval, delta) -> Optional[Int
         return None  # no window of this length fits in [a, b]
     required = RSet((Interval(a, b - delta, False, False),))
     starts = []
-    for i in cover.members_touching(a, b):
-        for c in cover.member(i).components:
-            hi = c.hi - delta
-            if c.lo < hi or (c.lo == hi and not c.lo_open and not c.hi_open):
-                starts.append(Interval(c.lo, hi, c.lo_open, c.hi_open))
+    for _, c in cover._meeting(a, b):
+        hi = c.hi - delta
+        if c.lo < hi or (c.lo == hi and not c.lo_open and not c.hi_open):
+            starts.append(Interval(c.lo, hi, c.lo_open, c.hi_open))
     uncovered = required.subtract(normalize(starts))
     if uncovered.is_empty:
         return None
@@ -286,13 +303,15 @@ class GridCover(Cover):
 
     Grid point j is (A + jB)/Q for one integer triple (Q, A, B)
     (`_units`), so a point's grid unit floor((x - a)/h) and whether x is
-    a grid point come from one `divmod` of integers.  On them are
-    answered in closed form, building no member: `members_touching`,
-    `holding`, `holds`, `first_holder` (and so the refinement rule, `Cover`'s
-    `refinement_witnesses` over it) and the transcript's `member_texts`;
-    also `member(k)`, `window_supremum` on the ambient, and equality.
-    The member tuple is built on first use of `members`, once per
-    instance; `GreedyTwo` is its only consumer left in a match.
+    a grid point come from one `divmod` of integers.  On them `Cover`'s
+    two questions are answered in closed form: `_meeting` builds the one
+    component of each member in a range (`_component`), and `_holders`
+    is a range of at most two members that builds none, so the
+    refinement rule decides without a member.  Also in closed form: the
+    transcript's `member_texts`, `member(k)`, `window_supremum` on the
+    ambient, and equality.  The member tuple is built on first use of
+    `members`, once per instance; `GreedyTwo` is its only consumer left
+    in a match.
     """
 
     def __init__(self, n: int, ambient: Interval):
@@ -363,54 +382,33 @@ class GridCover(Cover):
         q, a, b = self._units
         return divmod(p * q - a * d, b * d)
 
-    def members_touching(self, lo: Fraction, hi: Fraction) -> list[int]:
+    def _meeting(self, lo: Fraction, hi: Fraction) -> list[tuple[int, Interval]]:
         # member k's closure spans grid units [max(k-1, 0), min(k+1, last)]
         j, r = self._unit(lo.numerator, lo.denominator)
         first = j + (r > 0)  # ceil((lo - a)/h)
         top, _ = self._unit(hi.numerator, hi.denominator)
         if top < 0 or first > self.last:
             return []
-        return list(range(max(first - 1, 0), min(top + 1, self.last) + 1))
+        ks = range(max(first - 1, 0), min(top + 1, self.last) + 1)
+        return [(k, self._component(k)) for k in ks]
 
-    def _lowest_holding(
+    def _holders(
         self, ln: int, ld: int, lo_open: bool, hn: int, hd: int, hi_open: bool
-    ) -> Optional[int]:
-        """The lowest member holding an interval with ends lo = ln/ld and
-        hi = hn/hd, open as flagged, or None when no member does: the
-        body of `holding`, `holds` and `first_holder`.
-
-        Right ends grow with k: with v = (hi - a)/h, the members whose
-        right end lets hi through are those from k = floor(v) on, or
-        from v - 1 on when v is a whole unit at which hi is open (member
-        v - 1 ends there, open).  None does when hi lies past b.  Left
-        ends grow with k too, so member k holds the interval iff its left
-        end (k-1)h, closed at a for k = 0, lets lo through; if it does
-        not, no member does.
+    ) -> range:
+        """Member k starts at (k-1)h, open, and ends at (k+1)h, open,
+        except that member 0 starts at a and member `last` ends at b,
+        closed.  Both ends grow with k.  With v = (y - a)/h, the members
+        whose right end lets y = hn/hd through are those from floor(v)
+        on, or from v - 1 on when v is a whole unit at which y is open.
+        With u = (x - a)/h, those whose left end lets x = ln/ld through
+        are those up to floor(u) + 1, or up to u when u is a whole unit
+        at which x is closed.  None does when x lies before a or y past b.
         """
+        j, s = self._unit(ln, ld)
         top, r = self._unit(hn, hd)
-        if top > self.last or (top == self.last and r):
-            return None
-        k = max(top - 1 if hi_open and not r else top, 0)
-        q, a, b = self._units
-        start = ln * q - ld * (a + max(k - 1, 0) * b)
-        return k if start > 0 or (start == 0 and (lo_open or k == 0)) else None
-
-    def holding(self, lo: Fraction, hi: Fraction) -> Optional[Interval]:
-        k = self._lowest_holding(
-            lo.numerator, lo.denominator, False, hi.numerator, hi.denominator, False
-        )
-        return None if k is None else self._component(k)
-
-    def holds(self, lo: int, hi: int, den: int) -> bool:
-        return self._lowest_holding(lo, den, False, hi, den, False) is not None
-
-    def first_holder(self, m: RSet) -> Optional[int]:
-        # a member is one interval, so it holds m exactly when it holds m's hull
-        first, last = m.components[0], m.components[-1]
-        return self._lowest_holding(
-            first.lo.numerator, first.lo.denominator, first.lo_open,
-            last.hi.numerator, last.hi.denominator, last.hi_open,
-        )
+        if j < 0 or top > self.last or (top == self.last and r):
+            return range(0)
+        return range(max(top - 1 if hi_open and not r else top, 0), j + (s > 0 or lo_open) + 1)
 
     def member_texts(self) -> list[str]:
         # grid point j is (a + j*b)/q; each point is written once and

@@ -82,6 +82,20 @@ def test_an_odd_seed_count_is_refused_before_anything_runs(tmp_path, seeds):
     assert not out.exists()
 
 
+def test_an_out_in_a_missing_directory_is_refused_before_anything_runs(tmp_path):
+    """Otherwise every pair would run and the report would be lost when
+    it is written."""
+    out = tmp_path / "no_such_dir" / "pairs.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", "HEAD", "--seeds", "1-2", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "does not exist" in proc.stderr, proc.stderr
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize(
     "args, refusal",
     [

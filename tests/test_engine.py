@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalgames.cantor import CantorSpec
-from intervalgames import covers, engine, sets
+from intervalgames import covers, engine, sets, two_strategies
 from intervalgames.covers import Cover, CoverError, ball_cover, window_supremum
 from intervalgames.engine import (
     CheckedFamily,
@@ -961,3 +961,76 @@ def test_certified_chain_and_adjudication_read_only_what_decides_them(monkeypatc
     assert n("observe", "closure") <= 4 * innings
     assert n("chain", "closure") <= 4 * innings
     assert n("holding", "built") == 0
+
+
+def scoped_counts(monkeypatch, scopes, counted):
+    """Wrap every (owner, name) of `scopes` to count its calls under its
+    name and mark that it runs, and every (owner, name) of `counted` to
+    count under its name the calls it gets while a scope runs."""
+    depth, counts = [0], {}
+
+    def scoped(name, fn):
+        def wrapped(*args):
+            counts[name] = counts.get(name, 0) + 1
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    def inside(name, fn):
+        def wrapped(*args):
+            if depth[0]:
+                counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+
+        return wrapped
+
+    for owner, name in scopes:
+        monkeypatch.setattr(owner, name, scoped(name, getattr(owner, name)))
+    for owner, name in counted:
+        monkeypatch.setattr(owner, name, inside(name, getattr(owner, name)))
+    return counts
+
+
+@pytest.mark.parametrize("two", ["halving", "first-member"])
+def test_refinement_rule_tests_no_subset(monkeypatch, two):
+    """A machine-independent cost gate on seed-1 `certified-main` cells,
+    `main-compact` vs `halving` and vs `first-member` (ambient [1/5,2],
+    discrete, length w, budget 25): on ONE's generic covers the
+    refinement rule asks the point index which members hold each
+    component of a family member, and tests no `RSet.is_subset`.  Testing
+    the members that touch a family member's first left end made 1,950
+    tests against halving and 25 against first-member's two-component
+    replies."""
+    counts = scoped_counts(
+        monkeypatch, [(Cover, "refinement_witnesses")], [(RSet, "is_subset")]
+    )
+    t = play(
+        GameConfig(
+            "discrete", parse_ordinal("w"), closed("1/5", 2), TargetSpec.full(),
+            "main-compact", two, InningSchedule(main_budget=25),
+        )
+    )
+    assert len(t.records) == 25
+    assert counts == {"refinement_witnesses": 25}
+
+
+def test_window_supremum_builds_no_grid_member(monkeypatch):
+    """A machine-independent cost gate on the seed-1 `catalog-sweep` cell
+    `grid` vs `halving` (ambient [1/5,2], discrete, length w, budget 8):
+    the 29 `window_supremum` calls read the components that meet their
+    window and build no grid member; reading `member(i)` for every
+    touching member built 105."""
+    supremum = [(covers, "window_supremum"), (two_strategies, "window_supremum")]
+    counts = scoped_counts(monkeypatch, supremum, [(covers.GridCover, "member")])
+    t = play(
+        GameConfig(
+            "discrete", parse_ordinal("w"), closed("1/5", 2), TargetSpec.full(),
+            "grid", "halving", InningSchedule(main_budget=8),
+        )
+    )
+    assert len(t.records) == 8
+    assert counts == {"window_supremum": 29}

@@ -1,12 +1,14 @@
 """Module boundaries: a package module reaches another one only through
 its public names, and only `sets` reads the integer endpoint format
 `Interval._ends`.  Names of the standard library, such as argparse's
-`_actions`, are outside this check."""
+`_actions`, are outside this check.  Within `covers`, a grid cover
+answers `Cover`'s queries through `Cover`'s own bodies."""
 
 import ast
 from pathlib import Path
 
 import intervalgames
+from intervalgames.covers import GridCover
 
 PACKAGE = Path(intervalgames.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -65,3 +67,11 @@ def test_only_sets_reads_the_integer_endpoint_format():
         if name != "sets.py"
     }
     assert {name: lines for name, lines in readers.items() if lines} == {}
+
+
+def test_grid_cover_overrides_no_cover_query():
+    """Every cover query is written once, on `Cover`, over the two
+    questions each kind of cover answers (`_meeting`, `_holders`): the
+    grid defines no public name but its members and their texts."""
+    public = sorted(name for name in vars(GridCover) if not name.startswith("_"))
+    assert public == ["member", "member_texts", "members"]

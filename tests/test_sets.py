@@ -576,6 +576,18 @@ def ref_touching(members: list[RSet], lo: F, hi: F) -> list[int]:
     return [i for i, m in enumerate(members) if any(c.lo <= hi and c.hi >= lo for c in m.components)]
 
 
+def ref_containing(members: list[RSet], x: F) -> list[int]:
+    return [i for i, m in enumerate(members) if any(ref_contains(c, x) for c in m.components)]
+
+
+def ref_holding(members: list[RSet], x: F, y: F):
+    """The component of the lowest member holding [x, y], or None."""
+    window = closed(x, y)
+    return next(
+        (c for m in members for c in m.components if ref_contains_interval(c, window)), None
+    )
+
+
 # two large coprime denominators, and their product's reciprocal as a nudge
 # that separates endpoints no float could tell apart
 BIG = (2**61 - 1, 3**40)
@@ -610,8 +622,11 @@ def random_raw(rng: random.Random, pool: list[F], most: int) -> list[Interval]:
 def test_integer_comparisons_match_a_fraction_reference():
     """Seeded random endpoints: the integer comparisons of `Interval`,
     `normalize`, relative openness, the sweep, the discreteness checks
-    and the cover index answer as the Fraction reference bodies above do."""
-    rng = random.Random(1616)
+    and the cover queries answer as the Fraction reference bodies above
+    do, and the refinement rule as `sets.refines`.  The families come
+    from a second generator, so the other draws stay as they were."""
+    rng, family_rng = random.Random(1616), random.Random(2222)
+    held = 0
     flags = [(False, False), (False, True), (True, False), (True, True)]
     for _ in range(300):
         pool = random_pool(rng)
@@ -650,6 +665,17 @@ def test_integer_comparisons_match_a_fraction_reference():
             assert cover.members_touching(lo, hi) == ref_touching(members, lo, hi)
         for x in probes:
             assert cover.members_touching(x, x) == ref_touching(members, x, x)
+            assert cover.members_containing_point(x) == ref_containing(members, x), (members, x)
+        ordered = sorted(probes)
+        for i, x in enumerate(ordered):
+            for y in ordered[i:]:
+                assert cover.holding(x, y) == ref_holding(members, x, y), (members, x, y)
+        family = [normalize(random_raw(family_rng, pool, 3)) for _ in range(4)]
+        family.append(family_rng.choice(members))
+        witnesses = cover.refinement_witnesses(family)
+        assert witnesses == refines(family, members), (members, family)
+        held += sum(w is not None for w, m in zip(witnesses[1], family) if len(m.components) > 1)
+    assert held > 50, held
 
 
 # (0,1);(1,2): two components whose closures meet at 1, a point of neither

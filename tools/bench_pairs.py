@@ -13,11 +13,12 @@ side's own directory; even pairs run the parent first, odd pairs the
 change.  The seed count must be even, so that each side runs first in
 half the pairs and the run order cannot bias the medians.  A seed list
 that is odd, empty or not numbers, a workload that `BENCHMARK.json` does
-not list, and a `--parent` that names no commit are refused, each with
-one line, before anything runs.  The output holds the machine, the
-Python version, every run's metrics, each side's median and quartiles
-per metric, and how many pairs the change won per metric (better as
-`BENCHMARK.json` defines it, ties counting for neither side).  Per
+not list, an `--out` in a directory that does not exist, and a
+`--parent` that names no commit are refused, each with one line, before
+anything runs.  The output holds the machine, the Python version, every
+run's metrics, each side's median and quartiles per metric, and how
+many pairs the change won per metric (better as `BENCHMARK.json`
+defines it, ties counting for neither side).  Per
 workload, `against_bound` reads each end-to-end metric against its
 `BENCHMARK.json` bound: `worse_by` is the change median's relative
 change from the parent median in the metric's worse direction (negative
@@ -175,6 +176,10 @@ def main() -> int:
         raise SystemExit(
             f"bench_pairs.py: --workloads names {', '.join(unknown)}, which "
             f"BENCHMARK.json does not list; it lists {', '.join(known)}"
+        )
+    if not args.out.resolve().parent.is_dir():
+        raise SystemExit(
+            f"bench_pairs.py: --out {args.out} is in a directory that does not exist"
         )
     parent = commit_of(args.parent)
     metrics = {m["name"]: m for m in spec["end_to_end"]}
