@@ -28,6 +28,7 @@ from .engine import (
     GameConfig,
     IllegalMove,
     TargetSpec,
+    innings,
     length_bracket_report,
     play,
     referee_step,
@@ -35,6 +36,7 @@ from .engine import (
     validate_cover,
 )
 from .errors import InputError, InvariantViolation, ProtocolError
+from .one_strategies import OneBot
 from .ordinals import InningSchedule, Ordinal, parse_ordinal, reduced_length
 from .sequences import enumeration
 from .sets import (
@@ -46,7 +48,7 @@ from .sets import (
     parse_rset,
     union_all,
 )
-from .two_strategies import cantor_fattening_level, cantor_one_shot
+from .two_strategies import TwoBot, cantor_fattening_level, cantor_one_shot
 
 EXIT_OK = 0
 EXIT_ILLEGAL = 2
@@ -398,88 +400,100 @@ def _parse_family(line: str) -> list[RSet]:
     return [RSet((parse_interval(part),)) for part in text.split(";")]
 
 
-def _prompt_until_accepted(stdin, text: str, accept):
-    """Prompt with `text` until `accept(line)` returns; None when the
-    human resigns (`quit` or end of input).  A line that does not parse
-    gets the grammar hint, a move the referee rejects its witness."""
-    while True:
-        print(text, end="", flush=True)
-        line = stdin.readline()
-        if not line or line.strip() == "quit":
-            print("resigned")
-            return None
-        try:
-            return accept(line)
-        except ValueError as exc:
-            print(f"  cannot parse: {exc}")
-            print(f"  {GRAMMAR_HINT}")
-        except IllegalMove as exc:
-            print(f"  rejected ({exc.kind}): {exc.detail}")
+class Resigned(Exception):
+    """The human at the terminal resigned (`quit` or end of input)."""
+
+
+class HumanSeat(OneBot, TwoBot):
+    """The human at the terminal, in either seat of `engine.innings`.
+
+    A move is refereed at the prompt, so a rejected one is asked for
+    again; the engine then referees the accepted move as any other.
+    """
+
+    def __init__(self, config: GameConfig, stdin):
+        self.config, self.stdin, self.inning = config, stdin, 0
+
+    def _ask(self, text: str, accept):
+        """Prompt with `text` until `accept` returns on the family the
+        line spells; `Resigned` when the human resigns.  A line that
+        does not parse gets the grammar hint, a move the referee rejects
+        its witness."""
+        while True:
+            print(text, end="", flush=True)
+            line = self.stdin.readline()
+            if not line or line.strip() == "quit":
+                print("resigned")
+                raise Resigned
+            try:
+                return accept(_parse_family(line))
+            except ValueError as exc:
+                print(f"  cannot parse: {exc}")
+                print(f"  {GRAMMAR_HINT}")
+            except IllegalMove as exc:
+                print(f"  rejected ({exc.kind}): {exc.detail}")
+
+    def next_cover(self) -> Cover:
+        c = self.config
+        return self._ask(
+            f"inning {self.inning}, your cover> ",
+            lambda family: validate_cover(Cover(family), c.target, c.ambient),
+        )
+
+    def observe(self, family) -> None:
+        print(f"  opponent family ({len(family)} members):")
+        for m in family:
+            print(f"    {m}")
+        self.inning += 1
+
+    def respond(self, inning: int, cover: Cover) -> tuple[RSet, ...]:
+        c = self.config
+        texts = cover.member_texts()
+        print(f"inning {inning}: cover with {len(texts)} members:")
+        for i, text in enumerate(texts):
+            print(f"  [{i}] {text}")
+        return self._ask(
+            "your family> ",
+            lambda family: referee_step(c.ruleset, cover, family, c.ambient),
+        ).members
 
 
 def cmd_interactive(args, stdin=None) -> int:
-    stdin = stdin or sys.stdin
-    innings = _int_arg("innings", args.innings)
-    if innings < 1:
+    shown = _int_arg("innings", args.innings)
+    if shown < 1:
         raise InputError("--innings must be >= 1")
     config = GameConfig(
         ruleset=_ruleset(args.ruleset),
-        length=Ordinal.of(innings),
+        length=Ordinal.of(shown),
         ambient=parse_interval(args.ambient),
         target=TargetSpec.parse(args.target),
         one=args.one,
         two=args.two,
     )
-    ruleset, ambient, target = config.ruleset, config.ambient, config.target
-    human_side = args.as_side
-    if human_side not in ("one", "two"):
+    ambient, target = config.ambient, config.target
+    human = HumanSeat(config, stdin or sys.stdin)
+    if args.as_side == "one":
+        one, two = human, catalog.make_two(args.two, ambient, target)
+    elif args.as_side == "two":
+        one, two = catalog.make_one(args.one, ambient, target), human
+    else:
         raise InputError("interactive needs --as one or --as two")
-    bot = (
-        catalog.make_one(args.one, ambient, target)
-        if human_side == "two"
-        else catalog.make_two(args.two, ambient, target)
-    )
-    print(f"interactive {ruleset} game on {ambient}, {innings} innings shown")
+    print(f"interactive {config.ruleset} game on {ambient}, {shown} innings shown")
     print(GRAMMAR_HINT)
     covered = RSet.empty()
     box = target.measured_set(ambient)
-    for inning in range(innings):
-        if human_side == "two":
-            cover = validate_cover(bot.next_cover(), target, ambient)
-            texts = cover.member_texts()
-            print(f"inning {inning}: cover with {len(texts)} members:")
-            for i, text in enumerate(texts):
-                print(f"  [{i}] {text}")
-            checked = _prompt_until_accepted(
-                stdin,
-                "your family> ",
-                lambda line: referee_step(ruleset, cover, _parse_family(line), ambient),
-            )
-            if checked is None:
+    try:
+        for played, record in enumerate(innings(config, one, two), 1):
+            covered = covered.union(union_all(list(record.family.members)))
+            print(f"  uncovered measure so far: {box.subtract(covered).measure()}")
+            missed = target.uncovered(covered, ambient, materialized=played)
+            if missed is None:
+                print("target covered: the covering player wins")
                 return EXIT_OK
-            covered = covered.union(union_all(list(checked.members)))
-            bot.observe(checked.members)
-        else:
-            cover = _prompt_until_accepted(
-                stdin,
-                f"inning {inning}, your cover> ",
-                lambda line: validate_cover(Cover(_parse_family(line)), target, ambient),
-            )
-            if cover is None:
-                return EXIT_OK
-            family = bot.respond(inning, cover)
-            checked = referee_step(ruleset, cover, family, ambient)
-            print(f"  opponent family ({len(checked.members)} members):")
-            for m in checked.members:
-                print(f"    {m}")
-            covered = covered.union(union_all(list(checked.members)))
-        print(f"  uncovered measure so far: {box.subtract(covered).measure()}")
-        missed = target.uncovered(covered, ambient, materialized=inning + 1)
-        if missed is None:
-            print("target covered: the covering player wins")
-            return EXIT_OK
+    except Resigned:
+        return EXIT_OK
     witness = "; ".join(f"{key}: {val}" for key, val in missed().items())
-    print(f"truncated after {innings} innings; {witness}")
+    print(f"truncated after {shown} innings; {witness}")
     return EXIT_OK
 
 

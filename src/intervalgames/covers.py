@@ -350,14 +350,7 @@ class GridCover(Cover):
 
     @cached_property
     def members(self) -> tuple[RSet, ...]:
-        # the grid points are computed once and shared by neighbouring members
-        q, a, b = self._units
-        last = self.last
-        pts = [Fraction(a + j * b, q) for j in range(last + 1)]
-        return tuple(
-            RSet((Interval(pts[max(k - 1, 0)], pts[min(k + 1, last)], k > 0, k < last),))
-            for k in range(last + 1)
-        )
+        return tuple(RSet((self._component(k),)) for k in range(self.last + 1))
 
     def _component(self, k: int) -> Interval:
         """The one component of member k."""
@@ -441,9 +434,9 @@ def chain_subcover(cover: Cover, part: Interval) -> list[int]:
     """A minimal left-to-right chain of member indices covering [a, b]
     (`part`) inside the cover's union.
 
-    Only members touching [a, b] are read, and those whose trace on it
-    is empty are skipped; every other trace must be a single interval,
-    relatively open in [a, b].
+    Only the member components meeting [a, b] are read, and members
+    whose trace on it is empty are skipped; every other trace must be a
+    single interval, relatively open in [a, b].
     One sweep over the traces sorted by left end takes, at each point
     not yet covered, the furthest-reaching trace containing it (the
     first member wins ties).  Relative openness makes the greedy chain
@@ -454,11 +447,14 @@ def chain_subcover(cover: Cover, part: Interval) -> list[int]:
     t = checked_window(cover, part)
     a, b = t.lo, t.hi
     box = RSet((t,))
+    meeting: dict[int, list[Interval]] = {}  # member -> its components meeting [a, b]
+    for i, c in cover._meeting(a, b):
+        meeting.setdefault(i, []).append(c)
     # each trace as (start, reach): start (lo, lo_open) sorts closed left
     # ends first; reach (hi, closed hi, -index) is larger the further it goes
     traces = []
-    for i in cover.members_touching(a, b):
-        comps = cover.member(i).intersect(box).components
+    for i in sorted(meeting):
+        comps = normalize(meeting[i]).intersect(box).components
         if not comps:
             continue
         if len(comps) > 1:

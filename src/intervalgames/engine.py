@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import catalog
 from .cantor import CantorSpec
@@ -453,6 +453,55 @@ def _forfeit(config, records, exc: IllegalMove) -> Transcript:
     return Transcript(config, tuple(records), verdict)
 
 
+def innings(config: GameConfig, one, two) -> Iterator[InningRecord]:
+    """Referee a match between the seated players, inning by inning.
+
+    Each inning validates ONE's cover, asks TWO for its family, referees
+    it, shows it to ONE and yields its `InningRecord`; a broken rule
+    raises `IllegalMove`.  The first inning after a limit stage takes
+    its cover from a finite history digest, and TWO may materialize
+    extension innings before committing to its limit move.
+    """
+    records: list[InningRecord] = []
+
+    def refereed(label: InningLabel, cover: Cover, family: Sequence[RSet]) -> InningRecord:
+        """Referee TWO's family on a validated cover, record the inning
+        and show ONE the family."""
+        checked = referee_step(config.ruleset, cover, family, config.ambient)
+        records.append(InningRecord(label, cover, checked))
+        one.observe(checked.members)
+        return records[-1]
+
+    def inning(label: InningLabel, proposed: Cover) -> InningRecord:
+        cover = validate_cover(proposed, config.target, config.ambient)
+        return refereed(label, cover, two.respond(len(records), cover))
+
+    after_limit = False
+    for label in inning_iterator(config.length, config.schedule):
+        if label.kind == "limit":
+            if label.ordinal == config.length:
+                return  # the play is adjudicated at its own length
+            after_limit = True
+        elif not after_limit:
+            yield inning(label, one.next_cover())
+        else:
+            after_limit = False
+            covered = union_all([m for r in records for m in r.family.members])
+            digest = HistoryDigest(len(records), covered.measure())
+            limit_cover = validate_cover(one.limit_cover(digest), config.target, config.ambient)
+            base = Ordinal.omega(label.ordinal.coefficient(1) - 1)
+            extensions = 0
+            while (move := two.at_limit(limit_cover)) == "extend":
+                extensions += 1
+                if extensions > config.schedule.extension_cap:
+                    raise ProtocolError(
+                        "extension budget exhausted before the limit move"
+                    )
+                ext = Ordinal.of(config.schedule.main_budget + extensions - 1)
+                yield inning(InningLabel("inning", base.add(ext)), one.next_cover())
+            yield refereed(label, limit_cover, move)
+
+
 def play(config: GameConfig) -> Transcript:
     """Drive a full match and adjudicate it.
 
@@ -467,9 +516,9 @@ def play(config: GameConfig) -> Transcript:
     except catalog.UnknownStrategy as exc:
         raise ConfigError(str(exc)) from exc
 
-    labels = list(inning_iterator(config.length, config.schedule))
     needs_limit_move = any(
-        lab.kind == "limit" and lab.ordinal < config.length for lab in labels
+        lab.kind == "limit" and lab.ordinal < config.length
+        for lab in inning_iterator(config.length, config.schedule)
     )
     if needs_limit_move and not getattr(one, "supports_limit", False):
         raise ConfigError(
@@ -478,62 +527,9 @@ def play(config: GameConfig) -> Transcript:
         )
 
     records: list[InningRecord] = []
-
-    def commit(label: InningLabel, cover: Cover, family: Sequence[RSet]) -> None:
-        """Referee TWO's family on a validated cover, record the inning
-        and show ONE the family."""
-        checked = referee_step(config.ruleset, cover, family, config.ambient)
-        records.append(InningRecord(label, cover, checked))
-        one.observe(checked.members)
-
-    def run_inning(label: InningLabel, proposed: Cover) -> None:
-        cover = validate_cover(proposed, config.target, config.ambient)
-        commit(label, cover, two.respond(len(records), cover))
-
-    def run_limit_inning(label: InningLabel) -> None:
-        """The first inning after a limit stage: the cover comes from a
-        finite history digest, and the covering player may materialize
-        extension innings before committing to its limit move."""
-        digest = HistoryDigest(
-            inning_count=len(records),
-            covered_measure=union_all(
-                [m for r in records for m in r.family.members]
-            ).measure(),
-        )
-        limit_cover = validate_cover(
-            one.limit_cover(digest), config.target, config.ambient
-        )
-        extensions = 0
-        block = label.ordinal.coefficient(1) - 1
-        while True:
-            move = two.at_limit(limit_cover)
-            if move == "extend":
-                extensions += 1
-                if extensions > config.schedule.extension_cap:
-                    raise ProtocolError(
-                        "extension budget exhausted before the limit move"
-                    )
-                ext = Ordinal.of(config.schedule.main_budget + extensions - 1)
-                if block:
-                    ext = Ordinal.omega(block).add(ext)
-                run_inning(InningLabel("inning", ext), one.next_cover())
-                continue
-            commit(label, limit_cover, move)
-            return
-
     try:
-        pending_limit = False
-        for label in labels:
-            if label.kind == "limit":
-                if label.ordinal == config.length:
-                    break  # the play is adjudicated at its own length
-                pending_limit = True
-                continue
-            if pending_limit:
-                pending_limit = False
-                run_limit_inning(label)
-            else:
-                run_inning(label, one.next_cover())
+        for record in innings(config, one, two):
+            records.append(record)
     except IllegalMove as exc:
         return _forfeit(config, records, exc)
 

@@ -216,9 +216,7 @@ class OneMain(OneBot):
         return list(self.opens), list(self.trace_t)
 
 
-def bm_play(
-    one, two_respond: Callable[[RSet], RSet], innings: int, validate: bool = True
-) -> BMState:
+def bm_play(one, two_respond: Callable[[RSet], RSet], innings: int) -> BMState:
     """Drive the Banach-Mazur game for finitely many innings.
 
     `one` provides opening()/respond(); `two_respond` maps the current
@@ -231,6 +229,6 @@ def bm_play(
         t = two_respond(o)
         state.push(t)
         o = RSet((one.respond(t),))
-        if validate and not RSet((o.components[0].closure(),)).is_subset(t):
+        if not RSet((o.components[0].closure(),)).is_subset(t):
             raise InvariantViolation("opener's closure escaped the response")
     return state

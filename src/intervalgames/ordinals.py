@@ -45,11 +45,8 @@ class Ordinal:
         return cls(((0, n),)) if n else cls()
 
     @classmethod
-    def omega(cls, coeff: int = 1, plus: int = 0) -> "Ordinal":
-        terms = [(1, coeff)] if coeff else []
-        if plus:
-            terms.append((0, plus))
-        return cls(tuple(terms))
+    def omega(cls, coeff: int = 1) -> "Ordinal":
+        return cls(((1, coeff),) if coeff else ())
 
     @property
     def is_zero(self) -> bool:
@@ -104,7 +101,6 @@ class Ordinal:
 
 
 ZERO = Ordinal()
-OMEGA = Ordinal.omega()
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -209,10 +205,10 @@ def inning_iterator(length: Ordinal, schedule: InningSchedule) -> Iterator[Innin
     blocks = length.coefficient(1)
     tail = length.finite_part
     for j in range(blocks):
-        base = Ordinal.omega(j) if j else ZERO
+        base = Ordinal.omega(j)
         for i in range(schedule.main_budget):
             yield InningLabel("inning", base.add(Ordinal.of(i)))
         yield InningLabel("limit", Ordinal.omega(j + 1))
-    base = Ordinal.omega(blocks) if blocks else ZERO
+    base = Ordinal.omega(blocks)
     for i in range(tail):
         yield InningLabel("inning", base.add(Ordinal.of(i)))

@@ -353,6 +353,35 @@ def test_interactive_grid_cover_listing_is_pinned(monkeypatch, capsys):
     )
 
 
+def test_interactive_as_one_session_is_pinned(monkeypatch, capsys):
+    """A human ONE against `halving`: two rejected covers re-prompt
+    inning 0, then three innings and the truncation witness, byte for
+    byte."""
+    stdin_text = "(0,1/2)\nempty\n[0,1/2);(1/4,1]\n[0,3/4);(1/4,1]\n[0,1]\n"
+    code = run_cli(
+        "interactive", "--as", "one", "--two", "halving", "--innings", "3",
+        stdin_text=stdin_text, monkeypatch=monkeypatch,
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "be25c7b54c383dcfaf9744ed6c68dbcaacba0dd45a3b825f55fa77b12f735dbb"
+    )
+
+
+def test_interactive_bot_illegal_move_exits_2_with_one_line(monkeypatch, capsys):
+    """The puncture bot's touching pair is refereed as in `play`: the
+    command ends with exit 2 and the rejection on one stderr line."""
+    code = run_cli(
+        "interactive", "--as", "one", "--ruleset", "discrete", "--two", "chain-puncture",
+        stdin_text="[0,3/4);(1/4,1]\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "illegal move: two NotDiscrete {'members': [0, 1], 'shared_point': '1/2'}\n"
+    )
+
+
 def test_interactive_as_one_validates_cover(monkeypatch, capsys):
     stdin_text = "(0,1/2)\nempty\n[0,1/2];(1/4,1]\n[0,1/2);(1/4,1]\nquit\n"
     code = run_cli(

@@ -1034,3 +1034,21 @@ def test_window_supremum_builds_no_grid_member(monkeypatch):
     )
     assert len(t.records) == 8
     assert counts == {"window_supremum": 29}
+
+
+def test_chain_subcover_builds_each_grid_component_once(monkeypatch):
+    """A machine-independent cost gate on `grid` vs `chain-puncture`
+    (ambient [1/5,2], disjoint, length 2): the one `chain_subcover` call
+    builds each of the 9 touching grid components once, reading its
+    traces from `_meeting`; building them again through `member(i)`
+    made 18."""
+    chain = [(covers, "chain_subcover"), (two_strategies, "chain_subcover")]
+    counts = scoped_counts(monkeypatch, chain, [(covers.GridCover, "_component")])
+    t = play(
+        GameConfig(
+            "disjoint", parse_ordinal("2"), closed("1/5", 2), TargetSpec.full(),
+            "grid", "chain-puncture", InningSchedule(main_budget=8),
+        )
+    )
+    assert t.verdict.outcome == "two-wins-covered"
+    assert counts == {"chain_subcover": 1, "_component": 9}

@@ -2,7 +2,8 @@
 its public names, and only `sets` reads the integer endpoint format
 `Interval._ends`.  Names of the standard library, such as argparse's
 `_actions`, are outside this check.  Within `covers`, a grid cover
-answers `Cover`'s queries through `Cover`'s own bodies."""
+answers `Cover`'s queries through `Cover`'s own bodies.  Only `engine`
+orders a match's moves: `interactive` seats the human in its innings."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,20 @@ def test_grid_cover_overrides_no_cover_query():
     grid defines no public name but its members and their texts."""
     public = sorted(name for name in vars(GridCover) if not name.startswith("_"))
     assert public == ["member", "member_texts", "members"]
+
+
+def test_interactive_referees_no_move_itself():
+    """`cli.cmd_interactive` plays through `engine.innings`: it validates,
+    asks for and shows no move itself."""
+    tree = dict(sources())["cli.py"]
+    body = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_interactive"
+    )
+    calls = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    moves = {"validate_cover", "referee_step", "respond", "next_cover", "observe"}
+    assert calls & moves == set()
